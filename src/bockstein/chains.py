@@ -1,11 +1,14 @@
 """Exact homology of finite chain complexes over Z.
 
-The integral engine is a hand-rolled Smith normal form with unimodular
-transforms; every other coefficient system (Q, Z/p^k, the Pruefer group
-Z(p^inf)) is derived from the integral answer through universal
-coefficients.  A separate sparse column-reduction toolkit over a field
-supplies homology bases and induced maps; it stays exact and fast on
-complexes far too large for dense elimination.
+Two independent routes compute homology.  The integral route is a
+hand-rolled Smith normal form with unimodular transforms; Z/p^k (k > 1)
+and the Pruefer group Z(p^inf) are derived from its answer through
+universal coefficients.  The field route (Q and Z/p) is one sparse
+column reducer over a field given by p: None for Q, else the prime.
+Kept columns are scaled so each pivot is 1, so its elimination loop
+never divides.  It supplies Betti numbers, homology bases and induced
+maps, and stays exact and fast on complexes far too large for dense
+elimination.
 
 Boundary and chain-map matrices are stored as sparse integer columns.
 Dense views are plain lists of int rows.
@@ -152,27 +155,14 @@ def snf(mat):
 
 
 def _int_inverse(m):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix: the Smith normal
+    form gives u * m * v = I, so the inverse is v * u."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                       for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for row in a:
-        tail = row[n:]
-        if any(x.denominator != 1 for x in tail):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in tail])
-    return out
+    inv, u, v = _snf_shaped(m, n, n)
+    if inv != [1] * n:
+        raise ValueError("matrix is not unimodular")
+    return [[sum(v[i][t] * u[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 # -- sparse column plumbing --------------------------------------------------
@@ -587,13 +577,14 @@ def _check_coeff(coeff):
     raise ValueError(f"unsupported coefficients: {coeff!r}")
 
 
-def _convert(pair, below, coeff):
-    """Universal coefficients in one degree of homology:
-    H_k(G) = (H_k tensor G) + Tor(H_{k-1}, G)."""
+def _convert(pair, below, coeff, dual):
+    """Universal coefficients in one degree, from the integral homology:
+    H_k(G) = (H_k tensor G) + Tor(H_{k-1}, G), or for cohomology (dual)
+    H^k(G) = Hom(H_k, G) + Ext(H_{k-1}, G)."""
     beta, tors = pair
     _, tors_below = below
     if coeff is Z_GROUP:
-        return GroupReport(beta, tors, coeff)
+        return GroupReport(beta, tors_below if dual else tors, coeff)
     if coeff is Q_GROUP:
         return GroupReport(beta, (), coeff)
     if isinstance(coeff, Zmod):
@@ -602,27 +593,9 @@ def _convert(pair, below, coeff):
         orders.extend(gcd(t, m) for t in tors)
         orders.extend(gcd(t, m) for t in tors_below)
         return GroupReport(0, orders, coeff)
-    # Divisible coefficients kill the tensor torsion; Tor keeps p-parts.
-    orders = [_p_part(t, coeff.p) for t in tors_below]
-    return GroupReport(beta, orders, coeff)
-
-
-def _convert_dual(pair, below, coeff):
-    """Cohomology via Hom and Ext out of the integral homology."""
-    beta, tors = pair
-    _, tors_below = below
-    if coeff is Z_GROUP:
-        return GroupReport(beta, tors_below, coeff)
-    if coeff is Q_GROUP:
-        return GroupReport(beta, (), coeff)
-    if isinstance(coeff, Zmod):
-        m = coeff.p ** coeff.k
-        orders = [m] * beta
-        orders.extend(gcd(t, m) for t in tors)
-        orders.extend(gcd(t, m) for t in tors_below)
-        return GroupReport(0, orders, coeff)
-    # Divisible coefficients are injective, so Ext vanishes.
-    orders = [_p_part(t, coeff.p) for t in tors]
+    # Divisible coefficients kill the tensor torsion and, being
+    # injective, Ext; Tor and Hom keep p-parts.
+    orders = [_p_part(t, coeff.p) for t in (tors if dual else tors_below)]
     return GroupReport(beta, orders, coeff)
 
 
@@ -641,255 +614,151 @@ def _field_groups(c, coeff):
             for k, b in enumerate(betti)}
 
 
+def _report(c, coeff, relative_to, variance):
+    coeff = _check_coeff(coeff)
+    if relative_to is not None:
+        c, _ = quotient_complex(c, relative_to)
+    if _is_field(coeff):
+        # Hom duality over a field keeps the dimensions, so cohomology
+        # shares the groups of homology.
+        return HomologyReport(_field_groups(c, coeff), coeff, variance)
+    pairs = integral_homology(c)
+    zero = (0, ())
+    dual = variance == "cohomology"
+    groups = {k: _convert(pairs[k], pairs[k - 1] if k else zero, coeff, dual)
+              for k in range(c.top + 1)}
+    return HomologyReport(groups, coeff, variance)
+
+
 def homology(c: ChainComplex, coeff=Z_GROUP, relative_to=None):
     """Homology of c, or of the pair when relative_to gives the
     subcomplex by basis indices per degree."""
-    coeff = _check_coeff(coeff)
-    if relative_to is not None:
-        c, _ = quotient_complex(c, relative_to)
-    if _is_field(coeff):
-        return HomologyReport(_field_groups(c, coeff), coeff)
-    pairs = integral_homology(c)
-    zero = (0, ())
-    groups = {}
-    for k in range(c.top + 1):
-        below = pairs[k - 1] if k else zero
-        groups[k] = _convert(pairs[k], below, coeff)
-    return HomologyReport(groups, coeff)
+    return _report(c, coeff, relative_to, "homology")
 
 
 def cohomology(c: ChainComplex, coeff=Z_GROUP, relative_to=None):
-    coeff = _check_coeff(coeff)
-    if relative_to is not None:
-        c, _ = quotient_complex(c, relative_to)
-    if _is_field(coeff):
-        # Hom duality over a field keeps the dimensions.
-        return HomologyReport(_field_groups(c, coeff), coeff,
-                              variance="cohomology")
-    pairs = integral_homology(c)
-    zero = (0, ())
-    groups = {}
-    for k in range(c.top + 1):
-        below = pairs[k - 1] if k else zero
-        groups[k] = _convert_dual(pairs[k], below, coeff)
-    return HomologyReport(groups, coeff, variance="cohomology")
+    return _report(c, coeff, relative_to, "cohomology")
 
 
 # -- field linear algebra (sparse columns) -----------------------------------
+#
+# A field is given by p: None for Q, where entries are exact ints and
+# Fractions, else a prime, where entries are ints in [0, p).
 
-class _GF:
-    __slots__ = ("p",)
+def _field_prime(coeff):
+    if not _is_field(coeff):
+        raise ValueError(f"not field coefficients: {coeff!r}")
+    return None if coeff is Q_GROUP else coeff.p
+
+
+def _field_vector(vec, p):
+    """An exact sparse vector over the field: reduced mod p, zeros
+    dropped; over Q it is already one."""
+    if p is None:
+        return vec
+    return {i: w for i, v in vec.items() if (w := v % p)}
+
+
+class _Reducer:
+    """Sparse columns with distinct pivots, kept by pivot row.
+
+    A column's pivot is its largest nonzero row.  Each kept column is
+    scaled so its pivot entry is 1 and carries coordinates, which every
+    operation on the column applies alike: image columns carry none,
+    homology representatives a basis vector, kernel columns the
+    combination of original columns they came from.
+    """
+
+    __slots__ = ("p", "kept")
 
     def __init__(self, p):
         self.p = p
+        self.kept = {}
 
-    @property
-    def one(self):
-        return 1
-
-    def of(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        return (a * pow(b, self.p - 2, self.p)) % self.p
-
-
-class _QF:
-    __slots__ = ()
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def of(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-
-def field_for(coeff):
-    if coeff is Q_GROUP:
-        return _QF()
-    if isinstance(coeff, Zmod) and coeff.k == 1:
-        return _GF(coeff.p)
-    raise ValueError(f"not field coefficients: {coeff!r}")
-
-
-def _field_columns(int_cols, fld):
-    out = []
-    for col in int_cols:
-        fc = {}
-        for i, v in col.items():
-            w = fld.of(v)
-            if w:
-                fc[i] = w
-        out.append(fc)
-    return out
-
-
-def _axpy(target, factor, source, fld):
-    # target <- target - factor * source
-    zero = fld.of(0)
-    for i, v in source.items():
-        w = fld.add(target.get(i, zero), fld.neg(fld.mul(factor, v)))
-        if w:
-            target[i] = w
-        else:
-            target.pop(i, None)
-
-
-class _ReducedSet:
-    """Columns kept with distinct pivot rows, each carrying homology
-    coordinates.  Image columns have class zero; representative cycles
-    carry a standard basis vector; express() writes any later cycle in
-    terms of the representatives.
-    """
-
-    __slots__ = ("fld", "by_low")
-
-    def __init__(self, fld):
-        self.fld = fld
-        self.by_low = {}
-
-    def _drain(self, vec, coords):
-        fld = self.fld
-        zero = fld.of(0)
+    def reduce(self, vec, coords):
+        """Clear kept pivots from vec in place, bottom row first,
+        subtracting the same multiples of their coordinates from
+        coords; returns what is left of vec."""
+        p = self.p
+        kept = self.kept
         while vec:
             low = max(vec)
-            owner = self.by_low.get(low)
+            owner = kept.get(low)
             if owner is None:
-                return vec
-            ovec, ocoords = owner
-            factor = fld.div(vec[low], ovec[low])
-            _axpy(vec, factor, ovec, fld)
-            for j, cv in ocoords.items():
-                w = fld.add(coords.get(j, zero),
-                            fld.neg(fld.mul(factor, cv)))
-                if w:
-                    coords[j] = w
-                else:
-                    coords.pop(j, None)
+                break
+            factor = vec[low]
+            for target, source in zip((vec, coords), owner):
+                get = target.get
+                for i, v in source.items():
+                    w = get(i, 0) - factor * v
+                    if p:
+                        w %= p
+                    if w:
+                        target[i] = w
+                    else:
+                        del target[i]
         return vec
 
-    def add_image(self, vec):
-        vec = self._drain(dict(vec), {})
-        if vec:
-            self.by_low[max(vec)] = (vec, {})
-            return True
-        return False
+    def add(self, vec, coords):
+        """Reduce vec and keep what is left under its pivot; returns
+        whether anything was kept.  Both arguments are taken over."""
+        if not self.reduce(vec, coords):
+            return False
+        low = max(vec)
+        lead = vec[low]
+        if lead != 1:
+            p = self.p
+            if p:
+                inv = pow(lead, -1, p)
+            else:
+                # Integral inverses (the usual +-1) keep entries ints.
+                inv = 1 / Fraction(lead)
+                if inv.denominator == 1:
+                    inv = inv.numerator
+            for d in (vec, coords):
+                for i, v in d.items():
+                    d[i] = v * inv % p if p else v * inv
+        self.kept[low] = (vec, coords)
+        return True
 
-    def add_representative(self, vec, index):
-        coords = {index: self.fld.one}
-        vec = self._drain(dict(vec), coords)
-        if vec:
-            self.by_low[max(vec)] = (vec, coords)
-            return True
-        return False
 
-    def express(self, vec):
-        """Class of a cycle in representative coordinates."""
-        coords = {}
-        vec = self._drain(dict(vec), coords)
-        if vec:
-            raise ValueError("vector is not a cycle in this degree")
-        return {j: self.fld.neg(v) for j, v in coords.items()}
+def _rank(vecs, p):
+    reducer = _Reducer(p)
+    return sum(reducer.add(vec, {}) for vec in vecs)
 
 
-def _kernel_columns(cols, fld):
-    """Kernel basis via left-to-right column reduction."""
-    by_low = {}
+def _kernel(c: ChainComplex, k, p):
+    """Basis of the k-cycles by left-to-right column reduction."""
+    reducer = _Reducer(p)
     kernel = []
-    for j, col in enumerate(cols):
-        vec = dict(col)
-        combo = {j: fld.one}
-        while vec:
-            low = max(vec)
-            if low not in by_low:
-                break
-            ovec, ocombo = by_low[low]
-            factor = fld.div(vec[low], ovec[low])
-            _axpy(vec, factor, ovec, fld)
-            _axpy(combo, factor, ocombo, fld)
-        if vec:
-            by_low[max(vec)] = (vec, combo)
-        else:
+    for j, col in enumerate(c.sparse_boundary(k)):
+        combo = {j: 1}
+        if not reducer.add(_field_vector(col, p), combo):
             kernel.append(combo)
-    return kernel, by_low
+    return kernel
 
 
-class _HomologyBasis:
-    __slots__ = ("space", "reps", "dim")
-
-    def __init__(self, space, reps):
-        self.space = space
-        self.reps = reps
-        self.dim = len(reps)
-
-
-def _field_basis(c: ChainComplex, k, fld):
-    """Basis of H_k(c; field): representative cycles plus the reduced
-    data needed to take coordinates of any other cycle."""
-    here = c.rank(k)
-    if k >= 1:
-        d_k = _field_columns(c.sparse_boundary(k), fld)
-        kernel, _ = _kernel_columns(d_k, fld)
-    else:
-        kernel = [{j: fld.one} for j in range(here)]
-    space = _ReducedSet(fld)
-    if k + 1 <= c.top:
-        for col in _field_columns(c.sparse_boundary(k + 1), fld):
-            if col:
-                space.add_image(col)
+def _field_basis(c: ChainComplex, k, p):
+    """Representative cycles of a basis of H_k(c; field), and the
+    reducer that writes any other k-cycle in their coordinates."""
+    space = _Reducer(p)
+    for col in c.sparse_boundary(k + 1):
+        space.add(_field_vector(col, p), {})
     reps = []
-    for combo in kernel:
-        if space.add_representative(combo, len(reps)):
-            reps.append(combo)
-    return _HomologyBasis(space, reps)
+    for cycle in _kernel(c, k, p):
+        if space.add(dict(cycle), {len(reps): 1}):
+            reps.append(cycle)
+    return space, reps
 
 
 def field_betti(c: ChainComplex, coeff):
     """Field Betti numbers by direct rank computation, independent of
     the Smith-normal-form route."""
-    fld = field_for(coeff)
-    ranks = {}
-    for k in range(1, c.top + 1):
-        cols = _field_columns(c.sparse_boundary(k), fld)
-        kernel, _ = _kernel_columns(cols, fld)
-        ranks[k] = c.rank(k) - len(kernel)
-    return [c.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            for k in range(c.top + 1)]
-
-
-def _matvec_columns(cols, vec, fld):
-    zero = fld.of(0)
-    out = {}
-    for j, v in vec.items():
-        for i, entry in cols[j].items():
-            w = fld.add(out.get(i, zero), fld.mul(entry, v))
-            if w:
-                out[i] = w
-            else:
-                out.pop(i, None)
-    return out
+    p = _field_prime(coeff)
+    ranks = [0] + [_rank((_field_vector(col, p)
+                          for col in c.sparse_boundary(k)), p)
+                   for k in range(1, c.top + 1)] + [0]
+    return [c.rank(k) - ranks[k] - ranks[k + 1] for k in range(c.top + 1)]
 
 
 # -- induced maps ------------------------------------------------------------
@@ -930,53 +799,27 @@ class InducedMapReport:
         return f"[{'; '.join(rows)}] ({', '.join(flags)})"
 
 
-def _dense_rank(mat, fld):
-    a = [list(row) for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        lead = a[row][col]
-        for i in range(rows):
-            if i != row and a[i][col]:
-                factor = fld.div(a[i][col], lead)
-                a[i] = [fld.add(x, fld.neg(fld.mul(factor, y)))
-                        for x, y in zip(a[i], a[row])]
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank
-
-
 def _field_induced(cm: ChainMap, degree, coeff, dual):
-    fld = field_for(coeff)
-    basis_s = _field_basis(cm.source, degree, fld)
-    basis_t = _field_basis(cm.target, degree, fld)
-    cols = _field_columns(cm.sparse_matrix(degree), fld)
-    zero = fld.of(0)
-    columns = []
-    for rep in basis_s.reps:
-        image = _matvec_columns(cols, rep, fld)
-        coords = basis_t.space.express(image)
-        columns.append([coords.get(i, zero) for i in range(basis_t.dim)])
-    hom = [[columns[j][i] for j in range(basis_s.dim)]
-           for i in range(basis_t.dim)]
+    p = _field_prime(coeff)
+    _, reps_s = _field_basis(cm.source, degree, p)
+    space_t, reps_t = _field_basis(cm.target, degree, p)
+    maps = cm._cols.get(degree)
+    images = []
+    for rep in reps_s:
+        image = _sparse_compose(maps, rep.items()) if maps else {}
+        coords = {}
+        if space_t.reduce(_field_vector(image, p), coords):
+            raise ValueError("vector is not a cycle in this degree")
+        images.append({j: -v % p if p else -v for j, v in coords.items()})
+    n_s, n_t = len(reps_s), len(reps_t)
+    columns = [[image.get(i, 0) for i in range(n_t)] for image in images]
+    # A matrix and its transpose have the same rank.
+    rank = _rank(images, p)
     if dual:
-        out = [[hom[i][j] for i in range(basis_t.dim)]
-               for j in range(basis_s.dim)]
-        rank = _dense_rank(out, fld)
-        return InducedMapReport(out, rank == basis_t.dim,
-                                rank == basis_s.dim, degree, coeff,
-                                "cohomology")
-    rank = _dense_rank(hom, fld)
-    return InducedMapReport(hom, rank == basis_s.dim,
-                            rank == basis_t.dim, degree, coeff,
+        return InducedMapReport(columns, rank == n_t, rank == n_s, degree,
+                                coeff, "cohomology")
+    hom = [[col[i] for col in columns] for i in range(n_t)]
+    return InducedMapReport(hom, rank == n_s, rank == n_t, degree, coeff,
                             "homology")
 
 
@@ -1134,5 +977,5 @@ def join_homology(k: ChainComplex, l: ChainComplex, coeff=Z_GROUP):
     groups = {}
     for i in range(top + 1):
         below = joined[i - 1] if i else zero
-        groups[i] = _convert(joined[i], below, coeff)
+        groups[i] = _convert(joined[i], below, coeff, False)
     return HomologyReport(groups, coeff, reduced=True)

@@ -25,7 +25,7 @@ from math import gcd
 
 from . import chains, simplicial
 from .cdtype import Basis, CdType, decompose, nat, phi_basis
-from .dimension import dim, fundamental_product_dim, test_space
+from .dimension import _BASIS_GROUP, dim, fundamental_product_dim, test_space
 from .groups import Q, SumOverPrimes, Z, Zinv, Zloc, Zmod, ZpInf, sigma
 from .oracle import Universe, check_laws, render_reports
 from .primes import (
@@ -114,13 +114,18 @@ _FN_ALIAS = {"prod": "sum", "times": "times", "wedge": "wedge"}
 
 _BASIS_KINDS = {"Zp": Basis.zp, "Zpinf": Basis.zpinf, "Zloc": Basis.zloc}
 
+# Each nested cd-type expression costs the parser a few interpreter
+# frames; deeper input is refused before it reaches the recursion limit.
+_MAX_NESTING = 100
+
 
 class _Parser:
-    __slots__ = ("tokens", "pos")
+    __slots__ = ("tokens", "pos", "depth")
 
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead=0):
         k = min(self.pos + ahead, len(self.tokens) - 1)
@@ -173,9 +178,14 @@ class _Parser:
     # cd-type expressions, precedence [x] > [+] > \/
 
     def cdexpr(self):
+        if self.depth > _MAX_NESTING:
+            raise CliError(f"at position {self.peek()[2]}: expression "
+                           f"nested deeper than {_MAX_NESTING} levels")
+        self.depth += 1
         node = self.pterm()
         while self.accept("\\/"):
             node = ("wedge", node, self.pterm())
+        self.depth -= 1
         return node
 
     def pterm(self):
@@ -451,21 +461,33 @@ def parse_group(text):
 
 # -- evaluation --------------------------------------------------------------
 
+# Operand count per node tag; the binary tags name CdType methods.
+_OPERANDS = {"conj": 1, "pow": 1, "sum": 2, "times": 2, "wedge": 2}
+
+
 def _eval_cd(node) -> CdType:
-    tag = node[0]
-    if tag == "value":
-        return node[1]
-    if tag == "conj":
-        return _eval_cd(node[1]).conjugate()
-    if tag == "pow":
-        return _eval_cd(node[1]).scale(node[2])
-    left = _eval_cd(node[1])
-    right = _eval_cd(node[2])
-    if tag == "sum":
-        return left.sum(right)
-    if tag == "times":
-        return left.times(right)
-    return left.wedge(right)
+    # An explicit stack, not recursion: a long operator chain parses
+    # into a tree deeper than the interpreter's recursion limit.
+    values = []
+    todo = [(node, False)]
+    while todo:
+        node, ready = todo.pop()
+        tag = node[0]
+        if tag == "value":
+            values.append(node[1])
+        elif not ready:
+            todo.append((node, True))
+            todo.extend((child, False)
+                        for child in reversed(node[1:1 + _OPERANDS[tag]]))
+        elif tag == "conj":
+            values.append(values.pop().conjugate())
+        elif tag == "pow":
+            values.append(values.pop().scale(node[2]))
+        else:
+            right = values.pop()
+            left = values.pop()
+            values.append(getattr(left, tag)(right))
+    return values.pop()
 
 
 def _fn_body(fn: PrimeFn, with_zero=False):
@@ -573,10 +595,6 @@ def _column_bases(p, q):
             Basis.zloc(q), Basis.zp(q), Basis.zpinf(q)]
 
 
-_COLUMN_GROUP = {"Q": lambda p: Q, "Zp": lambda p: Zmod(p),
-                 "ZpInf": lambda p: ZpInf(p), "Zloc": lambda p: Zloc([p])}
-
-
 def _format_table(title, headers, labels, cells):
     widths = [max(len(h), *(len(str(row[j])) for row in cells))
               for j, h in enumerate(headers)]
@@ -607,7 +625,7 @@ def emit_table(kind, n, m=None, p=2, q=3):
             raise CliError(f"the fundamental table needs n >= 1: {n!r}")
         rows = _row_bases(p)
         cols = _column_bases(p, q)
-        groups = [_COLUMN_GROUP[b.kind](b.p) for b in cols]
+        groups = [_BASIS_GROUP[b.kind](b.p) for b in cols]
         labels = [f"F({b.render()}, {n})" for b in rows]
         headers = [b.render() for b in cols]
         cells = [[dim(phi_basis(rb, n), g) for g in groups] for rb in rows]

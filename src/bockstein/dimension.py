@@ -198,20 +198,18 @@ def anr_admissible(f: CdType):
     return (not violated, violated)
 
 
-def fibration_bounds(dim_g_base, dim_base, max_fiber_dim, max_fiber_dim_g,
-                     pid_with_unity=False):
+def fibration_bounds(dim_g_base, dim_base, max_fiber_dim, max_fiber_dim_g):
     """The four upper bounds for dim_G of the total space of a fibration.
 
     Returns (b1, b2, b3, b4):
         b1 = dim_G(base) + max fiber dim
         b2 = dim(base) + max fiber dim_G
         b3 = dim_G(base) + max fiber dim_G, valid only when the
-             coefficients form a PID with unity (caller-asserted flag;
+             coefficients form a PID with unity (the caller decides;
              the value is reported either way)
         b4 = b3 + 1, valid for arbitrary coefficients
     Infinite inputs propagate.
     """
-    del pid_with_unity
     b1 = dim_g_base + max_fiber_dim
     b2 = dim_base + max_fiber_dim_g
     b3 = dim_g_base + max_fiber_dim_g

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from bockstein.chains import (
     induced_map, integral_homology, join_homology, moore_space,
     quotient_complex, snf,
 )
+from bockstein.chains import _int_inverse
+from bockstein.simplicial import SimplicialComplex
 from bockstein.groups import Q, Z, Zmod, ZpInf
 
 from oracles import (
@@ -58,6 +61,41 @@ class TestSmithNormalForm:
         assert snf([[0, 0], [0, 0]])[0] == []
         assert snf([[6]])[0] == [6]
         assert snf([[2, 0], [0, 3]])[0] == [1, 6]
+
+
+def unimodular(n, steps):
+    """Identity changed by elementary integer row operations: add a
+    multiple of one row to another, or negate a row."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for a, b, q in steps:
+        a, b = a % n, b % n
+        if a == b:
+            m[a] = [-x for x in m[a]]
+        else:
+            m[a] = [x + q * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+class TestIntInverse:
+    @given(st.integers(min_value=1, max_value=6),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.integers(-4, 4)), max_size=25))
+    @settings(max_examples=100, deadline=None)
+    def test_inverts_unimodular(self, n, steps):
+        m = unimodular(n, steps)
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        inv = _int_inverse(m)
+        assert mat_mul(inv, m) == ident
+        assert mat_mul(m, inv) == ident
+
+    def test_empty(self):
+        assert _int_inverse([]) == []
+
+    @pytest.mark.parametrize("m", [[[2]], [[0]], [[1, 2], [3, 4]],
+                                   [[1, 1], [1, 1]]])
+    def test_rejects_non_unimodular(self, m):
+        with pytest.raises(ValueError):
+            _int_inverse(m)
 
 
 # Small standard complexes with known boundaries.
@@ -265,3 +303,98 @@ class TestQuotient:
         c = ChainComplex([1, 1, 1], {2: [[0]]})
         q, _ = quotient_complex(c, {0: [0], 1: [0]})
         assert integral_homology(q) == [(0, ()), (0, ()), (1, ())]
+
+
+# -- universal coefficients tie the field route to the integral route --------
+
+def join(a, b):
+    """Cellular chains of the join a * b of two cell complexes.
+
+    A cell of the join pairs a cell of a (or the empty cell) with a
+    cell of b (or the empty cell), the two empty cells not together.
+    Its chains are the tensor product of the augmented chains, with
+    degrees shifted up by one: d(x * y) = dx * y + (-1)^(|x|+1) x * dy,
+    where d of a vertex is the empty cell.
+    """
+    def augmented(c):
+        # Boundary columns by shifted degree s = k + 1: s = 0 holds the
+        # empty cell alone.
+        return ([[{}], [{0: 1}] * c.rank(0)]
+                + [c.sparse_boundary(k) for k in range(1, c.top + 1)])
+
+    bnd_a, bnd_b = augmented(a), augmented(b)
+    index, ranks, columns = {}, [], {}
+    for n in range(len(bnd_a) + len(bnd_b) - 2):
+        cells = [(s, n + 1 - s, i, j)
+                 for s in range(len(bnd_a)) if 0 <= n + 1 - s < len(bnd_b)
+                 for i in range(len(bnd_a[s]))
+                 for j in range(len(bnd_b[n + 1 - s]))]
+        index.update((cell, pos) for pos, cell in enumerate(cells))
+        ranks.append(len(cells))
+        if n:
+            columns[n] = []
+            for s, t, i, j in cells:
+                col = {index[s - 1, t, r, j]: v
+                       for r, v in bnd_a[s][i].items()}
+                col.update((index[s, t - 1, i, r], (-1) ** s * v)
+                           for r, v in bnd_b[t][j].items())
+                columns[n].append(col)
+    return ChainComplex.from_columns(ranks, columns)
+
+
+POINT = ChainComplex([1])
+TWO_POINTS = ChainComplex([2])
+
+simplex_subcomplexes = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.sets(st.integers(0, n), min_size=1),
+                       min_size=1, max_size=6)).map(
+    lambda faces: SimplicialComplex(faces).chain_complex())
+moore_spaces = st.builds(moore_space, st.integers(min_value=2, max_value=12),
+                         st.integers(min_value=1, max_value=2))
+# Cones, suspensions and joins with Moore spaces of a random start.
+small_complexes = st.builds(
+    lambda base, others: reduce(join, others, base),
+    st.one_of(simplex_subcomplexes, moore_spaces),
+    st.lists(st.one_of(st.just(POINT), st.just(TWO_POINTS),
+                       st.builds(moore_space,
+                                 st.integers(min_value=2, max_value=6))),
+             max_size=2))
+
+
+def torsion_count(tors, p):
+    return sum(1 for t in tors if t % p == 0)
+
+
+class TestUniversalCoefficients:
+    def test_join_builds_cone_and_suspension(self):
+        circle = simplicial_circle()
+        assert integral_homology(join(circle, POINT)) == [
+            (1, ()), (0, ()), (0, ())]
+        assert integral_homology(join(circle, TWO_POINTS)) == [
+            (1, ()), (0, ()), (1, ())]
+
+    @given(st.one_of(simplex_subcomplexes, moore_spaces),
+           st.one_of(simplex_subcomplexes, moore_spaces))
+    @settings(max_examples=30, deadline=None)
+    def test_join_complex_matches_join_formula(self, a, b):
+        rep = join_homology(a, b)
+        pairs = integral_homology(join(a, b))
+        for k, (beta, tors) in enumerate(pairs):
+            assert rep[k] == GroupReport(beta - (k == 0), tors, Z), k
+
+    @given(small_complexes)
+    @settings(max_examples=100, deadline=None)
+    def test_field_route_obeys_universal_coefficients(self, c):
+        pairs = integral_homology(c)
+        assert field_betti(c, Q) == [beta for beta, _ in pairs]
+        for report in (homology(c, Q), cohomology(c, Q)):
+            for k, (beta, _) in enumerate(pairs):
+                assert report[k] == GroupReport(beta, (), Q)
+        for p in (2, 3, 5):
+            want = [beta + torsion_count(tors, p)
+                    + (torsion_count(pairs[k - 1][1], p) if k else 0)
+                    for k, (beta, tors) in enumerate(pairs)]
+            assert field_betti(c, Zmod(p)) == want, p
+            for report in (homology(c, Zmod(p)), cohomology(c, Zmod(p))):
+                for k, dim in enumerate(want):
+                    assert report[k] == GroupReport(0, (p,) * dim, Zmod(p))

@@ -87,6 +87,27 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("depth", [101, 3000])
+    def test_deep_nesting_exits_two(self, capsys, depth):
+        expr = "(" * depth + "nat(1)" + ")" * depth
+        code, out, err = run(capsys, ["eval", expr])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "nested deeper than 100 levels" in err
+
+    @pytest.mark.parametrize("depth", [50, 100])
+    def test_modest_nesting_evaluates(self, capsys, depth):
+        expr = "conj(" * depth + "nat(2)" + ")" * depth
+        code, out, err = run(capsys, ["eval", f"norm({expr})"])
+        assert (code, out, err) == (0, "2\n", "")
+
+    def test_long_operator_chain_evaluates(self, capsys):
+        # A left-associative chain parses flat but evaluates a tree
+        # deeper than the recursion limit.
+        expr = " [+] ".join(["nat(1)"] * 1500)
+        code, out, err = run(capsys, ["eval", f"norm({expr})"])
+        assert (code, out, err) == (0, "1500\n", "")
+
     def test_json_is_sorted_and_stable(self, capsys):
         argv = ["eval", "--json", "norm(Phi(Zp(2),3) [+] Phi(Q,2))"]
         code, first, _ = run(capsys, argv)
