@@ -26,8 +26,6 @@ from .primes import (
     indicator,
     is_finite,
     select,
-    value_from_json,
-    value_to_json,
 )
 
 __all__ = [
@@ -52,6 +50,13 @@ BI_RULES = (
 )
 
 
+def _with_zero(fn: PrimeFn, value) -> PrimeFn:
+    # fn with its 0 slot set to value; fn itself when it already is.
+    if fn.at_zero == value:
+        return fn
+    return PrimeFn._make(value, fn.default, fn.exceptions)
+
+
 class BocksteinFn:
     """Values of a dimension type on the Bockstein basis.
 
@@ -64,9 +69,9 @@ class BocksteinFn:
 
     def __init__(self, phi_q, zp, zpinf, zloc):
         self.phi_q = phi_q
-        self.zp = PrimeFn(phi_q, zp.default, zp.exceptions)
-        self.zpinf = PrimeFn(phi_q, zpinf.default, zpinf.exceptions)
-        self.zloc = PrimeFn(phi_q, zloc.default, zloc.exceptions)
+        self.zp = _with_zero(zp, phi_q)
+        self.zpinf = _with_zero(zpinf, phi_q)
+        self.zloc = _with_zero(zloc, phi_q)
 
     @classmethod
     def constant(cls, value):
@@ -111,19 +116,14 @@ class BocksteinFn:
                 and self.zloc.leq(other.zloc))
 
 
-def _check_region(violations, where, a, b, c, v0):
-    # a = phi(Zloc), b = phi(Zp), c = phi(Zpinf) at one prime region.
-    checks = (
-        ("BI1", c <= b),
-        ("BI2", b <= c + 1),
-        ("BI3", b <= a),
-        ("BI4", v0 <= a),
-        ("BI5", a <= max(v0, c + 1)),
-        ("BI6", c <= max(v0, a - 1)),
-    )
-    for name, ok in checks:
-        if not ok:
-            violations.append((name, where))
+def _bi_failures(v0, a, b, c):
+    """Names of the BI_RULES broken at one prime region.
+
+    v0 = phi(Q); a = phi(Zloc), b = phi(Zp), c = phi(Zpinf) there.
+    """
+    holds = (c <= b, b <= c + 1, b <= a, v0 <= a,
+             a <= max(v0, c + 1), c <= max(v0, a - 1))
+    return [name for (name, _), ok in zip(BI_RULES, holds) if not ok]
 
 
 def validate(phi: BocksteinFn):
@@ -133,15 +133,14 @@ def validate(phi: BocksteinFn):
     region (all primes off the exceptions) is checked once under the
     slot name "default".
     """
-    violations = []
     v0 = phi.phi_q
-    _check_region(violations, "default",
-                  phi.zloc.default, phi.zp.default, phi.zpinf.default, v0)
+    violations = [(name, "default") for name in _bi_failures(
+        v0, phi.zloc.default, phi.zp.default, phi.zpinf.default)]
     primes = sorted({*phi.zp.exception_primes, *phi.zpinf.exception_primes,
                      *phi.zloc.exception_primes})
     for p in primes:
-        a, b, c = phi.at(p)
-        _check_region(violations, p, a, b, c, v0)
+        violations.extend((name, p) for name in _bi_failures(
+            v0, phi.zloc._value(p), phi.zp._value(p), phi.zpinf._value(p)))
     return violations
 
 
@@ -167,23 +166,14 @@ class CdType:
         """Build and check a triple; the all-zero triple collapses to ZERO_TYPE."""
         if not (D - S).is_empty:
             raise ValueError(f"D must lie inside S; offending {(D - S).render()}")
-        comp = ~S
-        if comp.is_finite:
-            for p in comp.primes:
-                if d._value(p) != d.at_zero:
-                    raise ValueError(
-                        f"d({p}) = {d._value(p)!r} must equal d(0) = "
-                        f"{d.at_zero!r} outside S")
-        else:
-            if d.default != d.at_zero:
-                raise ValueError(
-                    f"default d = {d.default!r} must equal d(0) = "
-                    f"{d.at_zero!r} outside S")
-            for p in d.exception_primes:
-                if p not in S:
-                    raise ValueError(
-                        f"d({p}) = {d._value(p)!r} must equal d(0) = "
-                        f"{d.at_zero!r} outside S")
+        bad = d.differ(PrimeFn.constant(d.at_zero)) - S
+        if bad.cofinite:
+            raise ValueError(f"default d = {d.default!r} must equal d(0) = "
+                             f"{d.at_zero!r} outside S")
+        if bad.primes:
+            p = bad.primes[0]
+            raise ValueError(f"d({p}) = {d._value(p)!r} must equal d(0) = "
+                             f"{d.at_zero!r} outside S")
         if S.is_empty and D.is_empty and d == PrimeFn.constant(0):
             return ZERO_TYPE
         return cls(False, S, D, d)
@@ -253,8 +243,7 @@ class CdType:
             raise ValueError(f"invalid Bockstein function: {bad}")
         s = phi.zloc.differ(phi.zpinf)
         dset = phi.zp.differ(phi.zpinf)
-        d = PrimeFn(phi.phi_q, phi.zp.default, phi.zp.exceptions)
-        return cls.triple(s, dset, d)
+        return cls.triple(s, dset, phi.zp)
 
     # -- algebra ---------------------------------------------------------
 
@@ -290,7 +279,7 @@ class CdType:
 
     def scale(self, k: int) -> "CdType":
         """The k-fold sum [+] of this type with itself."""
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"scale needs an integer k >= 1: {k!r}")
         if self.zero:
             return self
@@ -354,22 +343,25 @@ class CdType:
                 and self.d.at_zero == self.d.default
                 and isinstance(self.d.default, int) and self.d.default >= 1):
             return f"nat({self.d.default})"
-        pieces = [f"zero: {value_to_json(self.d.at_zero)}",
-                  f"default: {value_to_json(self.d.default)}"]
-        pieces.extend(f"{p}: {value_to_json(v)}" for p, v in self.d.exceptions)
-        return ("triple(S=%s, D=%s, d={%s})"
-                % (self.S.render(), self.D.render(), ", ".join(pieces)))
+        return (f"triple(S={self.S.render()}, D={self.D.render()}, "
+                f"d={self.d.render()})")
 
 
 ZERO_TYPE = CdType(True)
 
 
+def _level(n, message):
+    """n when it is an int >= 1 (a bool is not) or INF, else ValueError."""
+    if n is INF or (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        return n
+    raise ValueError(f"{message}: {n!r}")
+
+
 def nat(n) -> CdType:
     """The type (0, 0; n) of n-cubes; nat(0) is the zero type."""
-    if n == 0:
+    if n == 0 and not isinstance(n, bool):
         return ZERO_TYPE
-    if not (n is INF or (isinstance(n, int) and n >= 1)):
-        raise ValueError(f"nat needs an integer n >= 0 or INF: {n!r}")
+    n = _level(n, "nat needs an integer n >= 0 or INF")
     return CdType.triple(EMPTY, EMPTY, PrimeFn.constant(n))
 
 
@@ -433,8 +425,7 @@ def phi_basis(basis: Basis, n) -> CdType:
         Phi(Zp(p), n)  = ({p}, {p}; d(0)=1, d(p)=n, d=1)
         Phi(Zpinf(p),n)= ({p}, {};  d(0)=1, d(p)=n-1, d=1)
     """
-    if not (n is INF or (isinstance(n, int) and n >= 1)):
-        raise ValueError(f"Phi needs n >= 1: {n!r}")
+    _level(n, "Phi needs n >= 1")
     if n == 1:
         return nat(1)
     p = basis.p
@@ -464,10 +455,8 @@ class UniformFamily:
     def __init__(self, kind, n, over: PrimeSet):
         if kind not in ("Zp", "ZpInf", "Zloc"):
             raise ValueError(f"not a prime-indexed basis kind: {kind!r}")
-        if not (n is INF or (isinstance(n, int) and n >= 1)):
-            raise ValueError(f"family needs n >= 1: {n!r}")
         self.kind = kind
-        self.n = n
+        self.n = _level(n, "family needs n >= 1")
         self.over = over
 
     def __repr__(self):
@@ -551,13 +540,8 @@ class Decomposition:
     def rewedge(self) -> CdType:
         """Wedge the described basis types back together."""
         explicit = [nat(1), phi_basis(Basis.q(), self.k_q)]
-        families = []
-        for kind, fn in (("Zloc", self.k_zloc), ("Zp", self.k_zp),
-                         ("ZpInf", self.k_zpinf)):
-            for value, over in fn.level_sets():
-                if value == 1 or over.is_empty:
-                    continue
-                families.append(UniformFamily(kind, value, over))
+        families = [UniformFamily(kind, value, over)
+                    for kind, over, value in self.entries() if kind != "Q"]
         return wedge_family(explicit, families)
 
     def entries(self):
@@ -589,7 +573,5 @@ def decompose(f: CdType) -> Decomposition:
     k_zloc = select(f.S, one, d)
     k_zp = select(f.D, d, one)
     k_zpinf = select(f.S - f.D, d.map(lambda v: v + 1), one)
-    return Decomposition(d.at_zero,
-                         PrimeFn(1, k_zloc.default, k_zloc.exceptions),
-                         PrimeFn(1, k_zp.default, k_zp.exceptions),
-                         PrimeFn(1, k_zpinf.default, k_zpinf.exceptions))
+    return Decomposition(d.at_zero, _with_zero(k_zloc, 1),
+                         _with_zero(k_zp, 1), _with_zero(k_zpinf, 1))

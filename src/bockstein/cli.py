@@ -27,7 +27,7 @@ from . import chains, simplicial
 from .cdtype import Basis, CdType, decompose, nat, phi_basis
 from .dimension import _BASIS_GROUP, dim, fundamental_product_dim, test_space
 from .groups import Q, SumOverPrimes, Z, Zinv, Zloc, Zmod, ZpInf, sigma
-from .oracle import Universe, check_laws, render_reports
+from .oracle import Universe, check_laws, render_reports, select_laws
 from .primes import (
     ALL_PRIMES,
     INF,
@@ -490,13 +490,6 @@ def _eval_cd(node) -> CdType:
     return values.pop()
 
 
-def _fn_body(fn: PrimeFn, with_zero=False):
-    pieces = [f"zero: {fn.at_zero}"] if with_zero else []
-    pieces.append(f"default: {fn.default}")
-    pieces.extend(f"{p}: {v}" for p, v in fn.exceptions)
-    return "{" + ", ".join(pieces) + "}"
-
-
 def _fn_json(fn: PrimeFn):
     out = {"default": value_to_json(fn.default)}
     for p, v in fn.exceptions:
@@ -505,8 +498,9 @@ def _fn_json(fn: PrimeFn):
 
 
 def _phi_text(phi):
-    return (f"Q: {phi.phi_q}; Zp: {_fn_body(phi.zp)}; "
-            f"Zpinf: {_fn_body(phi.zpinf)}; Zloc: {_fn_body(phi.zloc)}")
+    zp, zpinf, zloc = (fn.render(with_zero=False)
+                       for fn in (phi.zp, phi.zpinf, phi.zloc))
+    return f"Q: {phi.phi_q}; Zp: {zp}; Zpinf: {zpinf}; Zloc: {zloc}"
 
 
 def _phi_json(phi):
@@ -656,6 +650,19 @@ def emit_table(kind, n, m=None, p=2, q=3):
 
 # -- verification drivers ----------------------------------------------------
 
+# Input sizes are checked from closed forms before anything is built.
+# The largest admitted runs, mp-pair at p = 53 (1920 cells) and ew at
+# n = 9 (2047 cells), take ~15 s each; time grows about cubically in the
+# cell count (mp-pair at p = 97, 3504 cells: ~77 s).
+_MAX_CELLS = 2048
+
+
+def _check_cells(what, cells):
+    if cells > _MAX_CELLS:
+        raise CliError(f"{what} builds {cells} cells; the limit is "
+                       f"{_MAX_CELLS}")
+
+
 def _check_line(checks, lines, name, ok, detail):
     checks.append({"name": name, "ok": ok, "detail": detail})
     lines.append(f"  {name}: {detail}  {'ok' if ok else 'FAIL'}")
@@ -759,10 +766,15 @@ def verify(target, p=2, q=3, n=2, stages=1, coeff=Q):
     """Run one verification driver; (ok, text, json_object)."""
     check_prime(p)
     if target == "mp-pair":
+        # M_p: 6p + 6 vertices, 18p + 6 edges and 12p triangles.
+        _check_cells(f"verify mp-pair --p {p}", 36 * p + 12)
         checks, lines = _verify_mp_pair(p, coeff)
     elif target == "pontryagin":
         checks, lines = _verify_pontryagin(p, stages)
     elif target == "ew":
+        # Faces of the (n+1)-simplex: its n-skeleton plus one glued cell.
+        # (n is clamped so that a huge n does not build a huge int.)
+        _check_cells(f"verify ew --n {n}", 2 ** (min(n, 64) + 2) - 1)
         checks, lines = _verify_ew(p, n)
     elif target == "join":
         check_prime(q)
@@ -827,11 +839,26 @@ def _cmd_verify(args):
     return (0 if ok else 1), text, jobj
 
 
+# The one-type laws check every type of the model: a standard type costs
+# them ~20 ms together (2000 types: ~40 s on top of the ~30 s the sampled
+# laws take), an extended one under 0.2 ms.  The standard model is always
+# built, the extended one only when a selected law needs it.
+_MAX_LAW_TYPES = {False: 2000, True: 10 ** 5}
+
+
 def _cmd_check_laws(args):
     primes = _parse_prime_csv(args.primes)
     if not (isinstance(args.max, int) and args.max >= 1):
         raise CliError(f"--max needs a positive bound: {args.max!r}")
     universe = Universe(primes, args.max)
+    models = [universe]
+    if any(law.domain == "extended" for law in select_laws(args.laws)):
+        models.append(Universe(primes, args.max, True))
+    for model in models:
+        count, limit = model.type_count(), _MAX_LAW_TYPES[model.allow_extended]
+        if count > limit:
+            raise CliError(f"the model {model.render()} holds {count} "
+                           f"types; the limit is {limit}")
     reports = check_laws(universe, laws=args.laws)
     ok = all(r.ok for r in reports)
     text = render_reports(reports) + ("suite: pass" if ok else "suite: FAIL")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cdtype import Basis, CdType, UniformFamily, phi_basis, wedge_family
 from .groups import BocksteinFamily, Q, Zloc, Zmod, ZpInf, sigma
-from .primes import is_finite
+from .primes import check_prime, is_finite
 
 __all__ = [
     "PowerReport",
@@ -54,6 +54,7 @@ def dim(f: CdType, group):
 
 def deficiency(f: CdType, p) -> int:
     """phi(Zp) - phi(Zpinf) at p; always 0 or 1."""
+    check_prime(p)
     if f.zero:
         return 0
     return 1 if p in f.D else 0
@@ -61,6 +62,7 @@ def deficiency(f: CdType, p) -> int:
 
 def p_regular(f: CdType, p) -> bool:
     """Whether all four dimensions at p agree with the rational one."""
+    check_prime(p)
     if f.zero:
         return True
     return p not in f.S

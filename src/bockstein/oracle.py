@@ -16,6 +16,7 @@ from itertools import product
 from sympy import primerange
 
 from .cdtype import (
+    _bi_failures,
     Basis,
     BocksteinFn,
     CdType,
@@ -83,26 +84,34 @@ class Universe:
                 f"value_bound={self.value_bound!r}, "
                 f"allow_extended={self.allow_extended!r})")
 
+    def type_count(self):
+        """How many types enumerate_types lists, in closed form.
+
+        Each value v0 of phi(Q) in [1, b] admits 2b - 1 slot profiles at
+        a listed prime.  An extended type picks one of 2b + 1 values at
+        0 and, per listed prime, one of 4b + 3 choices: outside S, or in
+        S, in or out of D, with one of 2b + 1 values.
+
+        >>> Universe([2, 3], 3).type_count()
+        75
+        >>> Universe([2, 3], 3, True).type_count()
+        1575
+        """
+        b, k = self.value_bound, len(self.primes)
+        if self.allow_extended:
+            return (2 * b + 1) * (4 * b + 3) ** k
+        return b * (2 * b - 1) ** k
+
     def render(self):
         tag = "extended" if self.allow_extended else "standard"
         inner = ",".join(str(p) for p in self.primes)
         return "{" + inner + "}" + f" bound {self.value_bound} ({tag})"
 
 
-def _bi_ok(q, l, z, i):
-    # The six Bockstein inequalities at one prime, spelled out.
-    return (i <= z and z <= i + 1 and z <= l and q <= l
-            and l <= max(q, i + 1) and i <= max(q, l - 1))
-
-
 def _slot_profiles(v0, bound):
-    out = []
-    for l in range(1, bound + 1):
-        for z in range(1, bound + 1):
-            for i in range(1, bound + 1):
-                if _bi_ok(v0, l, z, i):
-                    out.append((l, z, i))
-    return out
+    vals = range(1, bound + 1)
+    return [(l, z, i) for l in vals for z in vals for i in vals
+            if not _bi_failures(v0, l, z, i)]
 
 
 def _standard_types(u: Universe):

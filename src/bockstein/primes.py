@@ -191,6 +191,14 @@ class PrimeSet:
         self.cofinite = bool(cofinite)
 
     @classmethod
+    def _make(cls, primes, cofinite):
+        # Trusted: primes is already a strictly ascending tuple of primes.
+        s = object.__new__(cls)
+        s.primes = primes
+        s.cofinite = cofinite
+        return s
+
+    @classmethod
     def of(cls, *primes):
         return cls(primes)
 
@@ -237,12 +245,14 @@ class PrimeSet:
     def __or__(self, other):
         a, b = self, other
         if not a.cofinite and not b.cofinite:
-            return PrimeSet(set(a.primes) | set(b.primes))
+            return PrimeSet._make(tuple(sorted({*a.primes, *b.primes})), False)
         if a.cofinite and b.cofinite:
-            return PrimeSet(set(a.primes) & set(b.primes), cofinite=True)
+            return PrimeSet._make(
+                tuple(p for p in a.primes if p in b.primes), True)
         if not a.cofinite:
             a, b = b, a
-        return PrimeSet(set(a.primes) - set(b.primes), cofinite=True)
+        return PrimeSet._make(
+            tuple(p for p in a.primes if p not in b.primes), True)
 
     def __and__(self, other):
         return ~((~self) | (~other))
@@ -251,7 +261,7 @@ class PrimeSet:
         return self & ~other
 
     def __invert__(self):
-        return PrimeSet(self.primes, cofinite=not self.cofinite)
+        return PrimeSet._make(self.primes, not self.cofinite)
 
     def to_json(self):
         return {
@@ -281,6 +291,9 @@ class PrimeFn:
     are ints or INF/NEG_INF; the group layer also stores small status
     tokens in one, so nothing here insists on arithmetic types.
 
+    The constructor validates its primes; the results of the operations
+    below are built from already canonical inputs and are not re-checked.
+
     >>> f = PrimeFn(3, 1, {2: 4})
     >>> f(2), f(5), f(0)
     (4, 1, 3)
@@ -307,8 +320,17 @@ class PrimeFn:
         )
 
     @classmethod
+    def _make(cls, at_zero, default, pairs):
+        # Trusted: pairs ascend by prime; those equal to the default drop.
+        f = object.__new__(cls)
+        f.at_zero = at_zero
+        f.default = default
+        f.exceptions = tuple((p, v) for p, v in pairs if v != default)
+        return f
+
+    @classmethod
     def constant(cls, value):
-        return cls(value, value)
+        return cls._make(value, value, ())
 
     @property
     def exception_primes(self):
@@ -317,11 +339,7 @@ class PrimeFn:
     def __call__(self, x):
         if x == 0:
             return self.at_zero
-        check_prime(x)
-        for p, v in self.exceptions:
-            if p == x:
-                return v
-        return self.default
+        return self._value(check_prime(x))
 
     def __eq__(self, other):
         if not isinstance(other, PrimeFn):
@@ -360,7 +378,7 @@ class PrimeFn:
                 raise UndefinedArithmetic(f"{err} (at slot {slot})") from None
 
         primes = sorted({*self.exception_primes, *other.exception_primes})
-        return PrimeFn(
+        return PrimeFn._make(
             run(0, self.at_zero, other.at_zero),
             run("default", self.default, other.default),
             [(p, run(p, self._value(p), other._value(p))) for p in primes],
@@ -374,7 +392,7 @@ class PrimeFn:
             except UndefinedArithmetic as err:
                 raise UndefinedArithmetic(f"{err} (at slot {slot})") from None
 
-        return PrimeFn(
+        return PrimeFn._make(
             run(0, self.at_zero),
             run("default", self.default),
             [(p, run(p, v)) for p, v in self.exceptions],
@@ -401,45 +419,42 @@ class PrimeFn:
         The default is attained at the cofinitely many unexceptional
         primes, so the candidates are just the stored values.
         """
-        return max(self.default, self.at_zero, *(v for _, v in self.exceptions)) \
-            if self.exceptions else max(self.default, self.at_zero)
+        return max(self.default, self.at_zero, *(v for _, v in self.exceptions))
 
     def inf(self):
         """Exact infimum over the primes and the 0 slot."""
-        return min(self.default, self.at_zero, *(v for _, v in self.exceptions)) \
-            if self.exceptions else min(self.default, self.at_zero)
+        return min(self.default, self.at_zero, *(v for _, v in self.exceptions))
+
+    def _extreme_over(self, s, pick):
+        if s.is_empty:
+            return None
+        if s.is_finite:
+            return pick(self._value(p) for p in s.primes)
+        return pick([self.default, *(v for p, v in self.exceptions if p in s)])
 
     def sup_over(self, s: PrimeSet):
         """Supremum of values over the primes of s; None for empty s."""
-        if s.is_empty:
-            return None
-        if s.is_finite:
-            return max(self._value(p) for p in s.primes)
-        inside = [v for p, v in self.exceptions if p in s]
-        return max(self.default, *inside) if inside else self.default
+        return self._extreme_over(s, max)
 
     def inf_over(self, s: PrimeSet):
-        if s.is_empty:
-            return None
-        if s.is_finite:
-            return min(self._value(p) for p in s.primes)
-        inside = [v for p, v in self.exceptions if p in s]
-        return min(self.default, *inside) if inside else self.default
+        return self._extreme_over(s, min)
 
     def where_equal(self, value) -> PrimeSet:
         """The set of primes at which the function takes the given value."""
         if self.default == value:
             # Exceptions all differ from the default, hence from value.
-            return PrimeSet(self.exception_primes, cofinite=True)
-        return PrimeSet(p for p, v in self.exceptions if v == value)
+            return PrimeSet._make(self.exception_primes, True)
+        return PrimeSet._make(
+            tuple(p for p, v in self.exceptions if v == value), False)
 
     def differ(self, other) -> PrimeSet:
         """The set of primes where two functions disagree (slot 0 ignored)."""
         primes = sorted({*self.exception_primes, *other.exception_primes})
         if self.default == other.default:
-            return PrimeSet(p for p in primes if self._value(p) != other._value(p))
-        same = [p for p in primes if self._value(p) == other._value(p)]
-        return PrimeSet(same, cofinite=True)
+            return PrimeSet._make(tuple(
+                p for p in primes if self._value(p) != other._value(p)), False)
+        return PrimeSet._make(tuple(
+            p for p in primes if self._value(p) == other._value(p)), True)
 
     def leq(self, other) -> bool:
         """Pointwise <= over the primes and the 0 slot."""
@@ -454,12 +469,20 @@ class PrimeFn:
         The default's (cofinite) set comes first, then the exception
         values grouped into finite sets, ordered by first occurrence.
         """
-        out = [(self.default, PrimeSet(self.exception_primes, cofinite=True))]
+        out = [(self.default, PrimeSet._make(self.exception_primes, True))]
         groups: dict = {}
         for p, v in self.exceptions:
             groups.setdefault(v, []).append(p)
-        out.extend((v, PrimeSet(ps)) for v, ps in groups.items())
+        out.extend((v, PrimeSet._make(tuple(ps), False))
+                   for v, ps in groups.items())
         return out
+
+    def render(self, with_zero=True):
+        """The d-spec surface syntax: {zero: a, default: b, p: v, ...}."""
+        pieces = [f"zero: {self.at_zero}"] if with_zero else []
+        pieces.append(f"default: {self.default}")
+        pieces.extend(f"{p}: {v}" for p, v in self.exceptions)
+        return "{" + ", ".join(pieces) + "}"
 
     def to_json(self):
         return {
@@ -482,8 +505,8 @@ class PrimeFn:
 def indicator(s: PrimeSet) -> PrimeFn:
     """The characteristic function of a prime set; 0 at the 0 slot."""
     if s.cofinite:
-        return PrimeFn(0, 1, [(p, 0) for p in s.primes])
-    return PrimeFn(0, 0, [(p, 1) for p in s.primes])
+        return PrimeFn._make(0, 1, [(p, 0) for p in s.primes])
+    return PrimeFn._make(0, 0, [(p, 1) for p in s.primes])
 
 
 def select(s: PrimeSet, on_true: PrimeFn, on_false: PrimeFn) -> PrimeFn:
@@ -497,4 +520,4 @@ def select(s: PrimeSet, on_true: PrimeFn, on_false: PrimeFn) -> PrimeFn:
     default = on_true.default if s.cofinite else on_false.default
     exc = [(p, on_true._value(p) if p in s else on_false._value(p))
            for p in primes]
-    return PrimeFn(on_false.at_zero, default, exc)
+    return PrimeFn._make(on_false.at_zero, default, exc)

@@ -104,6 +104,19 @@ class TestTriple:
             with pytest.raises(ValueError):
                 nat(bad)
 
+    def test_bool_is_not_a_level(self):
+        # True == 1 and False == 0, but neither renders as a level the
+        # expression parser accepts back.
+        for bad in (True, False):
+            with pytest.raises(ValueError):
+                nat(bad)
+            with pytest.raises(ValueError):
+                phi_basis(Basis.zp(2), bad)
+            with pytest.raises(ValueError):
+                UniformFamily("Zp", bad, S(2, 3))
+            with pytest.raises(ValueError):
+                PI[2].scale(bad)
+
 
 class TestKuzminovBasis:
     def test_figure_one_rows(self):

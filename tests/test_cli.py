@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from bockstein import cli
 from bockstein.cli import (
     CliError,
     emit_table,
@@ -215,6 +216,31 @@ class TestVerify:
         assert code == 2
         assert "coefficient" in err
 
+    @pytest.mark.parametrize("argv, runner", [
+        (["verify", "mp-pair", "--p", "53"], "_verify_mp_pair"),  # 1920 cells
+        (["verify", "ew", "--n", "9"], "_verify_ew"),             # 2047 cells
+    ])
+    def test_largest_admitted_size(self, capsys, monkeypatch, argv, runner):
+        calls = []
+        monkeypatch.setattr(cli, runner,
+                            lambda *args: calls.append(args) or ([], []))
+        code, _, err = run(capsys, argv)
+        assert (code, err, len(calls)) == (0, "", 1)
+
+    @pytest.mark.parametrize("argv, cells", [
+        (["verify", "mp-pair", "--p", "59"], 36 * 59 + 12),
+        (["verify", "ew", "--n", "10"], 2 ** 12 - 1),
+        (["verify", "ew", "--n", "10000000000"], 2 ** 66 - 1),
+    ])
+    def test_oversized_input_exits_two(self, capsys, monkeypatch, argv,
+                                       cells):
+        for runner in ("_verify_mp_pair", "_verify_ew"):
+            monkeypatch.setattr(cli, runner, None)  # must not be reached
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {' '.join(argv[:4])} builds {cells} cells; "
+                       f"the limit is 2048\n")
+
     def test_verify_function_reports_checks(self):
         ok, text, jobj = verify("join", p=2, q=3)
         assert ok and jobj["ok"]
@@ -244,6 +270,30 @@ class TestCheckLaws:
     def test_bad_primes_exit_two(self, capsys):
         code, _, err = run(capsys, ["check-laws", "--primes", "2,9"])
         assert code == 2
+
+    @pytest.mark.parametrize("primes, bound, laws, ok", [
+        # standard model b (2b - 1)^k against 2000: 1800, then 2601
+        ("2,3", 8, "round-trip", True),
+        ("2,3", 9, "round-trip", False),
+        # extended model (2b + 1)(4b + 3)^k against 10^5: 73205, 354375
+        ("2,3,5,7", 2, "all", True),
+        ("2,3,5,7", 3, "all", False),
+        ("2,3,5,7", 3, "round-trip", True),    # standard model only: 1875
+        ("2,3,5,7", 3, "conjugation-zero", False),
+    ])
+    def test_model_size_guard(self, capsys, monkeypatch, primes, bound,
+                              laws, ok):
+        calls = []
+        monkeypatch.setattr(cli, "check_laws",
+                            lambda u, laws: calls.append(u) or [])
+        code, out, err = run(capsys, ["check-laws", "--primes", primes,
+                                      "--max", str(bound), "--laws", laws])
+        if ok:
+            assert (code, err, len(calls)) == (0, "", 1)
+        else:
+            assert (code, out, calls) == (2, "", [])
+            assert err.startswith("error: the model {")
+            assert "types; the limit is " in err
 
 
 class TestGolden:

@@ -109,6 +109,14 @@ class TestRegularity:
         f = phi_basis(Basis.zloc(2), 3)
         assert p_singular(f, 3) and p_regular(f, 2)
 
+    def test_nonprimes_are_refused(self):
+        f = phi_basis(Basis.q(), 2)
+        for query in (deficiency, p_regular, p_singular):
+            for bad in (4, 1, 0, True):
+                for g in (f, ZERO_TYPE):
+                    with pytest.raises(ValueError):
+                        query(g, bad)
+
 
 class TestPowers:
     def test_full_valued_is_basic(self):

@@ -79,6 +79,20 @@ class TestEnumeration:
         assert len(types) == extended_count([2, 3], 3) == 1575
         assert len(set(types)) == len(types)
 
+    @pytest.mark.parametrize("primes", [[2], [2, 3], [2, 3, 5]])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_closed_form_counts_match_census(self, primes, bound):
+        assert (Universe(primes, bound).type_count()
+                == standard_count(primes, bound))
+        assert (Universe(primes, bound, True).type_count()
+                == extended_count(primes, bound))
+
+    @pytest.mark.parametrize("primes, bound", [([2, 3], 2), ([2, 5], 3)])
+    def test_closed_form_counts_match_enumeration(self, primes, bound):
+        for extended in (False, True):
+            u = Universe(primes, bound, extended)
+            assert u.type_count() == len(enumerate_types(u))
+
     def test_extended_triples_are_canonical(self):
         types = enumerate_types(Universe([2], 2, True))
         # the all-zero triple collapses to the distinguished zero type

@@ -209,3 +209,38 @@ class TestIndicatorSelect:
         h = select(s, f, g)
         assert h(p) == (f(p) if p in s else g(p))
         assert h(0) == g(0)
+
+
+def _fields(x):
+    if isinstance(x, PrimeSet):
+        return x.primes, x.cofinite
+    return x.at_zero, x.default, x.exceptions
+
+
+def _rebuilt(x):
+    if isinstance(x, PrimeSet):
+        return PrimeSet(x.primes, cofinite=x.cofinite)
+    return PrimeFn(x.at_zero, x.default, x.exceptions)
+
+
+class TestTrustedPath:
+    """Operation results skip validation; they must come out canonical."""
+
+    @given(prime_sets, prime_sets, prime_fns, prime_fns, values)
+    def test_results_equal_their_public_rebuild(self, s, t, f, g, v):
+        results = [
+            s | t, s & t, s - t, ~s,
+            f.add(g), f.sub(g), f.mul(g), f.max_with(g), f.min_with(g),
+            f.map(lambda x: 2 * x - 1), PrimeFn.constant(v),
+            f.where_equal(v), f.differ(g), indicator(s), select(s, f, g),
+            *(piece for _, piece in f.level_sets()),
+        ]
+        for r in results:
+            # Field for field, so a list where a tuple belongs also fails.
+            assert _fields(r) == _fields(_rebuilt(r))
+            if isinstance(r, PrimeSet):
+                ps = r.primes
+            else:
+                assert all(value != r.default for _, value in r.exceptions)
+                ps = r.exception_primes
+            assert all(a < b for a, b in zip(ps, ps[1:]))
