@@ -359,7 +359,7 @@ def _level(n, message):
 
 def nat(n) -> CdType:
     """The type (0, 0; n) of n-cubes; nat(0) is the zero type."""
-    if n == 0 and not isinstance(n, bool):
+    if n == 0 and isinstance(n, int) and not isinstance(n, bool):
         return ZERO_TYPE
     n = _level(n, "nat needs an integer n >= 0 or INF")
     return CdType.triple(EMPTY, EMPTY, PrimeFn.constant(n))

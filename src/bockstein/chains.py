@@ -1,9 +1,13 @@
 """Exact homology of finite chain complexes over Z.
 
-Two independent routes compute homology.  The integral route is a
-hand-rolled Smith normal form with unimodular transforms; Z/p^k (k > 1)
-and the Pruefer group Z(p^inf) are derived from its answer through
-universal coefficients.  The field route (Q and Z/p) is one sparse
+Two independent routes compute homology.  The integral route needs
+only the invariant factors of each boundary: it eliminates the +-1
+pivots of the sparse columns one by one, each a factor 1, and hands the
+core left over (a single column on the Pontryagin stages, cylinders and
+skeleta) to a hand-rolled dense Smith normal form.  Z/p^k (k > 1) and
+the Pruefer group Z(p^inf) are derived from its answer through
+universal coefficients.  Integral induced maps use the dense form with
+its unimodular transforms.  The field route (Q and Z/p) is one sparse
 column reducer over a field given by p: None for Q, else the prime.
 Kept columns are scaled so each pivot is 1, so its elimination loop
 never divides.  It supplies Betti numbers, homology bases and induced
@@ -17,6 +21,7 @@ Dense views are plain lists of int rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .groups import Q as Q_GROUP
@@ -107,25 +112,22 @@ def _snf_shaped(mat, rows, cols):
         col_swap(t, pivot[1])
         if a[t][t] < 0:
             row_negate(t)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t]:
-                        # The remainder is a strictly smaller pivot.
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
         d = a[t][t]
+        rest = False
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                row_add(i, t, -(a[i][t] // d))
+                rest = rest or a[i][t] != 0
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                col_add(j, t, -(a[t][j] // d))
+                rest = rest or a[t][j] != 0
+        if rest:
+            # A remainder is smaller than the pivot: pick the smallest
+            # entry again.  Carrying on with the remainder's row or
+            # column as the pivot instead lets entries grow without
+            # bound (thousands of digits on 7 x 7 matrices).
+            continue
         bad = None
         for i in range(t + 1, rows):
             if any(a[i][j] % d for j in range(t + 1, cols)):
@@ -433,12 +435,81 @@ class ChainMap:
 
 # -- integral homology and coefficient conversion ----------------------------
 
+def _sparse_invariants(columns):
+    """The invariant factors snf lists for a matrix given by sparse
+    columns of (row, value) pairs, without its transforms.
+
+    A +-1 entry is a pivot: column operations clear the rest of its
+    row, and row operations then clear its column without touching
+    anything else, so dropping the pivot's row and column leaves a
+    matrix with the remaining invariant factors.  Each such pivot is
+    one factor 1 and costs only the fill-in it makes.  Pivots are taken
+    from the sparsest column first, in the row shared by the fewest
+    columns.  The core left when no column holds a unit (a single
+    column on Pontryagin stages, mapping cylinders and Edwards-Walsh
+    skeleta) goes to the dense Smith normal form.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    where = {}
+    for j, col in cols.items():
+        for i in col:
+            where.setdefault(i, set()).add(j)
+    # Entries go stale when their column shrinks, grows or is eliminated;
+    # a column that changes is pushed again under its new size.
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        size, j = heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != size:
+            continue
+        pivots = [i for i, v in col.items() if v == 1 or v == -1]
+        if not pivots:
+            continue
+        i = min(pivots, key=lambda r: len(where[r]))
+        del cols[j]
+        for r in col:
+            where[r].discard(j)
+        # The pivot is its own inverse.
+        a = col.pop(i)
+        for j2 in where.pop(i):
+            other = cols[j2]
+            f = other.pop(i) * a
+            for r, v in col.items():
+                w = other.get(r, 0) - f * v
+                if w:
+                    other[r] = w
+                    where[r].add(j2)
+                else:
+                    del other[r]
+                    where[r].discard(j2)
+            if other:
+                heappush(heap, (len(other), j2))
+            else:
+                del cols[j2]
+        units += 1
+    rows = {i: n for n, i in enumerate(sorted(
+        {i for col in cols.values() for i in col}))}
+    core = _dense_from_columns(
+        [[(rows[i], v) for i, v in col.items()] for col in cols.values()],
+        len(rows), len(cols))
+    inv, _, _ = _snf_shaped(core, len(rows), len(cols))
+    return [1] * units + inv
+
+
 def integral_homology(c: ChainComplex):
-    """Per degree: (free rank, invariant torsion factors > 1)."""
+    """Per degree: (free rank, invariant torsion factors > 1).
+
+    Only the invariant factors of each boundary are needed, so its
+    sparse columns go through unit-pivot elimination and the small
+    leftover core through the dense Smith normal form; no transforms
+    are built.
+    """
     rank_of = {}
     torsion_of = {}
-    for k in range(1, c.top + 1):
-        inv, _, _ = _snf_shaped(c.boundary(k), c.rank(k - 1), c.rank(k))
+    for k, cols in c._cols.items():
+        inv = _sparse_invariants(cols)
         rank_of[k] = len(inv)
         torsion_of[k] = tuple(d for d in inv if d > 1)
     out = []
@@ -604,9 +675,7 @@ def _is_field(coeff):
 
 
 def _field_groups(c, coeff):
-    # Over a field the Betti numbers say everything, and the sparse
-    # column reduction stays cheap on complexes too large for the
-    # Smith-normal-form route.
+    # Over a field the Betti numbers say everything.
     betti = field_betti(c, coeff)
     if coeff is Q_GROUP:
         return {k: GroupReport(b, (), coeff) for k, b in enumerate(betti)}

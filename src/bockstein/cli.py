@@ -652,15 +652,34 @@ def emit_table(kind, n, m=None, p=2, q=3):
 
 # Input sizes are checked from closed forms before anything is built.
 # The largest admitted runs, mp-pair at p = 53 (1920 cells) and ew at
-# n = 9 (2047 cells), take ~15 s each; time grows about cubically in the
-# cell count (mp-pair at p = 97, 3504 cells: ~77 s).
+# n = 9 (2047 cells), take ~0.75 s each as CLI processes, ~0.15 s of it
+# past start-up; the work grows a little faster than the cell count
+# (mp-pair at p = 199, 7176 cells: ~0.9 s past start-up), so this limit
+# is well inside what finishes.
 _MAX_CELLS = 2048
+# pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
+# and Q.  Its largest admitted runs take ~14 s (stages 1 at p = 829,
+# 99 526 cells) and ~4 s (stages 2 at p = 7, 72 574 cells).  Stages 1 at
+# large p sets the limit: building the p-fold mapping cylinder grows
+# quadratically in p there (p = 997, 119 686 cells: ~18 s), so stages 2
+# at p = 11 (175 294 cells, ~10 s) is refused with it.
+_MAX_PONTRYAGIN_CELLS = 100_000
 
 
-def _check_cells(what, cells):
-    if cells > _MAX_CELLS:
-        raise CliError(f"{what} builds {cells} cells; the limit is "
-                       f"{_MAX_CELLS}")
+def _check_cells(what, cells, limit=_MAX_CELLS):
+    if cells > limit:
+        raise CliError(f"{what} builds {cells} cells; the limit is {limit}")
+
+
+def _pontryagin_cells(p, stages):
+    """Cells of L_{stages+1}: L_1 is the boundary of the 3-simplex, and
+    each stage replaces every triangle by a mapping cylinder of the
+    p-fold circle covering glued along its subdivided boundary."""
+    f0, f1, f2 = 4, 6, 4
+    for _ in range(stages):
+        f0, f1, f2 = (f0 + (2 * p - 1) * f1 + 6 * f2,
+                      2 * p * f1 + (12 * p + 6) * f2, 12 * p * f2)
+    return f0 + f1 + f2
 
 
 def _check_line(checks, lines, name, ok, detail):
@@ -770,6 +789,9 @@ def verify(target, p=2, q=3, n=2, stages=1, coeff=Q):
         _check_cells(f"verify mp-pair --p {p}", 36 * p + 12)
         checks, lines = _verify_mp_pair(p, coeff)
     elif target == "pontryagin":
+        if stages in (1, 2):    # pontryagin_stage refuses other counts
+            _check_cells(f"verify pontryagin --p {p} --stages {stages}",
+                         _pontryagin_cells(p, stages), _MAX_PONTRYAGIN_CELLS)
         checks, lines = _verify_pontryagin(p, stages)
     elif target == "ew":
         # Faces of the (n+1)-simplex: its n-skeleton plus one glued cell.

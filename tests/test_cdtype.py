@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +117,12 @@ class TestTriple:
                 UniformFamily("Zp", bad, S(2, 3))
             with pytest.raises(ValueError):
                 PI[2].scale(bad)
+
+    def test_only_the_int_zero_is_the_zero_type(self):
+        # 0.0 == 0 and Fraction(0) == 0, but like 1.0 they are not levels.
+        for bad in (0.0, Fraction(0), -0.0, 1.0, Fraction(1)):
+            with pytest.raises(ValueError):
+                nat(bad)
 
 
 class TestKuzminovBasis:

@@ -18,6 +18,7 @@ from bockstein.cli import (
 )
 from bockstein.groups import Q, Z, Zloc, Zmod
 from bockstein.oracle import Universe, enumerate_types
+from bockstein.simplicial import pontryagin_stage
 
 from oracles import ROW_KINDS, fig1_row, fig2_row, pinned_product_cells
 
@@ -240,6 +241,36 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == (f"error: {' '.join(argv[:4])} builds {cells} cells; "
                        f"the limit is 2048\n")
+
+    @pytest.mark.parametrize("p, stages", [(829, 1), (7, 2)])  # 99 526, 72 574
+    def test_largest_admitted_pontryagin(self, capsys, monkeypatch, p,
+                                         stages):
+        calls = []
+        monkeypatch.setattr(cli, "_verify_pontryagin",
+                            lambda *args: calls.append(args) or ([], []))
+        code, _, err = run(capsys, ["verify", "pontryagin", "--p", str(p),
+                                    "--stages", str(stages)])
+        assert (code, err, calls) == (0, "", [(p, stages)])
+
+    @pytest.mark.parametrize("p, stages, cells", [
+        (839, 1, 100_726),
+        (11, 2, 175_294),
+    ])
+    def test_oversized_pontryagin_exits_two(self, capsys, monkeypatch, p,
+                                            stages, cells):
+        monkeypatch.setattr(cli, "_verify_pontryagin", None)
+        argv = ["verify", "pontryagin", "--p", str(p),
+                "--stages", str(stages)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {' '.join(argv)} builds {cells} cells; "
+                       f"the limit is 100000\n")
+
+    @pytest.mark.parametrize("p, stages", [(2, 1), (3, 1), (7, 1), (2, 2),
+                                           (3, 2)])
+    def test_pontryagin_cell_count_is_exact(self, p, stages):
+        built, _ = pontryagin_stage(p, stages)
+        assert cli._pontryagin_cells(p, stages) == sum(built[-1].f_vector())
 
     def test_verify_function_reports_checks(self):
         ok, text, jobj = verify("join", p=2, q=3)
