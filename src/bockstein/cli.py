@@ -652,17 +652,16 @@ def emit_table(kind, n, m=None, p=2, q=3):
 
 # Input sizes are checked from closed forms before anything is built.
 # The largest admitted runs, mp-pair at p = 53 (1920 cells) and ew at
-# n = 9 (2047 cells), take ~0.75 s each as CLI processes, ~0.15 s of it
+# n = 9 (2047 cells), take ~0.25 s each as CLI processes, ~0.1 s of it
 # past start-up; the work grows a little faster than the cell count
-# (mp-pair at p = 199, 7176 cells: ~0.9 s past start-up), so this limit
+# (mp-pair at p = 199, 7176 cells: ~0.45 s past start-up), so this limit
 # is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~14 s (stages 1 at p = 829,
-# 99 526 cells) and ~4 s (stages 2 at p = 7, 72 574 cells).  Stages 1 at
-# large p sets the limit: building the p-fold mapping cylinder grows
-# quadratically in p there (p = 997, 119 686 cells: ~18 s), so stages 2
-# at p = 11 (175 294 cells, ~10 s) is refused with it.
+# and Q.  Its largest admitted runs take ~5.5 s (stages 1 at p = 829,
+# 99 526 cells) and ~3.7 s (stages 2 at p = 7, 72 574 cells) as CLI
+# processes.  Refused runs would still finish: stages 1 at p = 997
+# (119 686 cells) takes ~6.7 s, stages 2 at p = 11 (175 294 cells) ~8.4 s.
 _MAX_PONTRYAGIN_CELLS = 100_000
 
 

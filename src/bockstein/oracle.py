@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from sympy import primerange
-
 from .cdtype import (
     _bi_failures,
     Basis,
@@ -51,7 +49,8 @@ __all__ = [
 _SEED = 20260814
 _EXHAUSTIVE_LIMIT = 10 ** 5
 _MAX_FAILURES = 8
-_SMALL_PRIMES = tuple(primerange(2, 101))
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 class Universe:

@@ -11,11 +11,20 @@ arithmetic follows fixed conventions: inf + k = inf for finite k,
 inf * 0 = 0, inf * k = inf for k > 0.  Expressions with no assigned
 value, such as inf - inf or inf times a negative, raise
 UndefinedArithmetic instead of silently producing something.
+
+Primality (check_prime) is decided by the standard library alone:
+trial division by the primes up to 41, then Miller-Rabin to the
+thirteen prime bases 2..41, which is deterministic below
+3317044064679887385961981 (Sorenson & Webster, "Strong pseudoprimes to
+twelve prime bases", Math. Comp. 86 (2017)); above that bound, the
+strong Baillie-PSW test (Baillie & Wagstaff, "Lucas pseudoprimes",
+Math. Comp. 35 (1980)): Miller-Rabin to base 2 plus a strong Lucas test
+with Selfridge's parameters.  No composite passing BPSW is known.
 """
 
 from __future__ import annotations
 
-from sympy import isprime
+from math import isqrt
 
 __all__ = [
     "ALL_PRIMES",
@@ -152,6 +161,92 @@ def value_from_json(obj):
     raise ValueError(f"not a value: {obj!r}")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base in _MR_BASES.
+_MR_BOUND = 3317044064679887385961981
+
+
+def _strong_prp(n, a):
+    """Miller-Rabin: is odd n > a a strong probable prime to base a?"""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    x = pow(a, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_prp(n):
+    """Is odd n > 2 a strong Lucas probable prime for Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1, Q = (1 - D)/4?"""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    # n + 1 = d * 2**s with d odd.
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k, Q^k mod n for the leading bits k of d (P = 1); half is
+    # the inverse of 2 mod n.
+    half = (n + 1) // 2
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) * half % n, (D * u + v) * half % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _isprime(n):
+    """Primality of the int n; see the module docstring."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        return True
+    if n < _MR_BOUND:
+        return all(_strong_prp(n, a) for a in _MR_BASES)
+    return _strong_prp(n, 2) and _strong_lucas_prp(n)
+
+
 def check_prime(p):
     """Return p unchanged if it is a prime number, else raise ValueError.
 
@@ -162,7 +257,7 @@ def check_prime(p):
         ...
     ValueError: not a prime: 6
     """
-    if not isinstance(p, int) or isinstance(p, bool) or not isprime(p):
+    if not isinstance(p, int) or isinstance(p, bool) or not _isprime(p):
         raise ValueError(f"not a prime: {p!r}")
     return p
 

@@ -277,16 +277,23 @@ class Cylinder:
         self.map = f
         elements = ([("K", s) for s in f.source.all_simplices()]
                     + [("L", s) for s in f.target.all_simplices()])
-        as_set = {x: frozenset(x[1]) for x in elements}
-        img = {x: frozenset(f.image(x[1])) for x in elements
-               if x[0] == "K"}
-
-        def below(x, y):
-            if x[0] == y[0]:
-                return x != y and as_set[x] < as_set[y]
-            return x[0] == "K" and y[0] == "L" and img[x] <= as_set[y]
-
-        succ = {x: [y for y in elements if below(x, y)] for x in elements}
+        # x < y in the poset when x is a proper face of y on the same
+        # side, or x is in K and f(x) is a face of y in L.  Each y is
+        # appended to the lists of the elements below it, visiting y in
+        # elements order, so every list keeps that order.
+        by_image = {}
+        for s in f.source.all_simplices():
+            by_image.setdefault(f.image(s), []).append(("K", s))
+        succ = {x: [] for x in elements}
+        for y in elements:
+            side, s = y
+            for k in range(1, len(s) + 1):
+                for face in combinations(s, k):
+                    if k < len(s):
+                        succ[(side, face)].append(y)
+                    if side == "L":
+                        for x in by_image.get(face, ()):
+                            succ[x].append(y)
         found = []
 
         def grow(chain, x):

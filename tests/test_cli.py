@@ -1,7 +1,10 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,7 @@ from bockstein.simplicial import pontryagin_stage
 from oracles import ROW_KINDS, fig1_row, fig2_row, pinned_product_cells
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_CASES = {
     "eval_norm.txt": ["eval", "norm(Phi(Zp(2),3) [+] Phi(Q,2))"],
@@ -337,3 +341,26 @@ class TestGolden:
         assert code == 0
         want = (GOLDEN_DIR / name).read_text()
         assert first == second == want
+
+
+class TestColdStart:
+    """The runtime is stdlib-only: neither importing the package nor a
+    CLI process loads sympy (which alone took ~0.4 s to import)."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+
+    def test_import_loads_no_sympy(self):
+        code = ("import bockstein, bockstein.cli, sys; "
+                "assert 'sympy' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], env=self.ENV,
+                       check=True, timeout=60)
+
+    def test_cli_process_loads_no_sympy(self):
+        # -X importtime lists every module the process imports on stderr.
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bockstein.cli",
+             "eval", "nat(3)"],
+            env=self.ENV, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "nat(3)\n")
+        assert "bockstein.primes" in done.stderr
+        assert "sympy" not in done.stderr

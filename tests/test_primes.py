@@ -1,9 +1,15 @@
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
+from bockstein.oracle import _SMALL_PRIMES
 from bockstein.primes import (
     ALL_PRIMES, EMPTY, INF, NEG_INF, PrimeFn, PrimeSet, UndefinedArithmetic,
     check_prime, indicator, is_finite, select, value_from_json, value_to_json,
+)
+from bockstein.primes import (
+    _MR_BOUND, _isprime, _strong_lucas_prp, _strong_prp,
 )
 
 
@@ -70,6 +76,64 @@ def test_check_prime():
     for bad in (1, 0, -3, 4, 6, True, 2.0, "2"):
         with pytest.raises(ValueError):
             check_prime(bad)
+
+
+class TestPrimalityAgainstSympy:
+    """check_prime's stdlib test against sympy.isprime.  Each drawn n
+    is checked together with every integer up to the next prime, so
+    every example reaches the Miller-Rabin or BPSW stage at least once."""
+
+    # Strong pseudoprimes to base 2: the least ones to all prime bases
+    # up to 2, 7, 23, 37 and 41 (the last is the BPSW bound itself), and
+    # the squares of the Wieferich primes 1093 and 3511.
+    STRONG_BASE2 = (2047, 3215031751, 3825123056546413051,
+                    318665857834031151167461, 3317044064679887385961981,
+                    1093 ** 2, 3511 ** 2)
+    CARMICHAEL = (561, 41041, 825265)
+    STRONG_LUCAS = (5459, 5777, 10877)
+
+    def check_up_to_next_prime(self, n):
+        for m in range(n, sympy.nextprime(n) + 1):
+            assert _isprime(m) == sympy.isprime(m), m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=-10, max_value=2 ** 64))
+    def test_below_2_64(self, n):
+        self.check_up_to_next_prime(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2 ** 64, max_value=_MR_BOUND))
+    def test_up_to_the_miller_rabin_bound(self, n):
+        self.check_up_to_next_prime(n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=_MR_BOUND, max_value=2 ** 200))
+    def test_bpsw_range(self, n):
+        self.check_up_to_next_prime(n)
+
+    def test_hard_composites(self):
+        for n in self.STRONG_BASE2 + self.CARMICHAEL + self.STRONG_LUCAS:
+            assert not sympy.isprime(n)
+            assert not _isprime(n), n
+            with pytest.raises(ValueError, match=f"not a prime: {n}"):
+                check_prime(n)
+
+    def test_squares_of_primes(self):
+        for p in (2, 3, 41, 43, 47, 1093, 3511, 2 ** 61 - 1, 2 ** 89 - 1,
+                  2 ** 127 - 1):
+            assert sympy.isprime(p) and check_prime(p) == p
+            assert not _isprime(p * p), p
+
+    def test_strong_lucas_step(self):
+        # The Lucas half of BPSW alone, against sympy's: it accepts the
+        # strong Lucas pseudoprimes, which Miller-Rabin to base 2 rejects.
+        for n in range(3, 20000, 2):
+            assert _strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+        for n in self.STRONG_LUCAS:
+            assert _strong_lucas_prp(n) and not _strong_prp(n, 2)
+
+    def test_small_primes_literal(self):
+        assert _SMALL_PRIMES == tuple(sympy.primerange(2, 101))
 
 
 class TestPrimeSet:

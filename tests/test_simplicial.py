@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from bockstein.chains import GroupReport
@@ -120,6 +123,52 @@ class TestMappingCylinder:
             assert h2["Z/5"] == (0, ())
             assert h2[Zmod(p).render()] == (0, (p,))
             assert h2[ZpInf(p).render()] == (0, ())
+
+    @staticmethod
+    def order_complex_by_pairs(f):
+        """The cylinder complex built by testing every pair of face-poset
+        elements: the reference for Cylinder's face enumeration."""
+        elements = ([("K", s) for s in f.source.all_simplices()]
+                    + [("L", s) for s in f.target.all_simplices()])
+        as_set = {x: frozenset(x[1]) for x in elements}
+
+        def below(x, y):
+            if x[0] == y[0]:
+                return x != y and as_set[x] < as_set[y]
+            return (x[0] == "K" and y[0] == "L"
+                    and frozenset(f.image(x[1])) <= as_set[y])
+
+        succ = {x: [y for y in elements if below(x, y)] for x in elements}
+        found = []
+
+        def grow(chain, x):
+            chain = chain + (x,)
+            found.append(chain)
+            for y in succ[x]:
+                grow(chain, y)
+
+        for x in elements:
+            grow((), x)
+        return SimplicialComplex(found)
+
+    def test_matches_pairwise_construction(self):
+        maps = [degree_map_circle(p) for p in range(2, 14)]
+        rng = random.Random(20261018)
+        while len(maps) < 120:
+            target = SimplicialComplex(
+                rng.sample(range(5), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4)))
+            vmap = {v: rng.choice(target.vertices()) for v in range(6)}
+            simplices = [s for k in (1, 2, 3)
+                         for s in combinations(range(6), k)
+                         if target.has({vmap[v] for v in s})]
+            source = SimplicialComplex(
+                rng.sample(simplices, rng.randint(1, 6)))
+            maps.append(SimplicialMap(
+                source, target, {v: vmap[v] for v in source.vertices()}))
+        for f in maps:
+            assert (complex_to_text(mapping_cylinder(f).complex)
+                    == complex_to_text(self.order_complex_by_pairs(f)))
 
     def test_retraction_section(self):
         cyl = mapping_cylinder(degree_map_circle(2))
