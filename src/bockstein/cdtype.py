@@ -1,9 +1,9 @@
 """The dimension-type algebra: triples (S, D; d) and Bockstein functions.
 
-A cd-type is either the zero type (points and other 0-dimensional
-things) or a triple of a singularity prime set S, a deficiency prime
-set D inside S, and a field dimension function d on the primes plus a
-slot at 0, constant equal to d(0) outside S.  The dual coordinate
+A cd-type is a triple of a singularity prime set S, a deficiency
+prime set D inside S, and a field dimension function d on the primes
+plus a slot at 0, constant equal to d(0) outside S; the zero type of
+points and other 0-dimensional things is (∅, ∅; 0).  The dual coordinate
 system is the Bockstein function phi giving, per prime p, the values at
 Z/p, Z(p^inf) and Z_(p), plus one value at Q; the two determine each
 other (to_phi / from_phi below).
@@ -16,8 +16,9 @@ the wedge decomposition of an arbitrary positive type over that basis.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .primes import (
-    ALL_PRIMES,
     EMPTY,
     INF,
     PrimeFn,
@@ -72,11 +73,6 @@ class BocksteinFn:
         self.zp = _with_zero(zp, phi_q)
         self.zpinf = _with_zero(zpinf, phi_q)
         self.zloc = _with_zero(zloc, phi_q)
-
-    @classmethod
-    def constant(cls, value):
-        f = PrimeFn.constant(value)
-        return cls(value, f, f, f)
 
     def __eq__(self, other):
         if not isinstance(other, BocksteinFn):
@@ -145,21 +141,28 @@ def validate(phi: BocksteinFn):
 
 
 class CdType:
-    """A dimension type: the zero type or a triple (S, D; d).
+    """A dimension type: a triple (S, D; d); the zero type is (∅, ∅; 0).
 
     Use the factories: CdType.triple(...), nat(n), phi_basis(...),
-    and the module constant ZERO_TYPE.  Values of d may be extended
-    (negative or INF); is_positive tells whether the type lies in the
-    positive class, where every basis value is at least 1.
+    and the module constant ZERO_TYPE, the one object that holds the
+    zero triple.  Values of d may be extended (negative or INF);
+    is_positive tells whether the type lies in the positive class,
+    where every basis value is at least 1.
     """
 
-    __slots__ = ("zero", "S", "D", "d")
+    __slots__ = ("S", "D", "d")
 
-    def __init__(self, zero, S=None, D=None, d=None):
-        self.zero = zero
+    def __init__(self, S, D, d):
         self.S = S
         self.D = D
         self.d = d
+
+    @classmethod
+    def _build(cls, S, D, d):
+        # Trusted: (S, D; d) already satisfies the triple conditions.
+        if S.is_empty and D.is_empty and d == ZERO_TYPE.d:
+            return ZERO_TYPE
+        return cls(S, D, d)
 
     @classmethod
     def triple(cls, S: PrimeSet, D: PrimeSet, d: PrimeFn):
@@ -174,20 +177,19 @@ class CdType:
             p = bad.primes[0]
             raise ValueError(f"d({p}) = {d._value(p)!r} must equal d(0) = "
                              f"{d.at_zero!r} outside S")
-        if S.is_empty and D.is_empty and d == PrimeFn.constant(0):
-            return ZERO_TYPE
-        return cls(False, S, D, d)
+        return cls._build(S, D, d)
+
+    @property
+    def zero(self):
+        """Whether this is the zero type (∅, ∅; 0)."""
+        return self is ZERO_TYPE
 
     def __eq__(self, other):
         if not isinstance(other, CdType):
             return NotImplemented
-        if self.zero or other.zero:
-            return self.zero == other.zero
         return (self.S, self.D, self.d) == (other.S, other.D, other.d)
 
     def __hash__(self):
-        if self.zero:
-            return hash("zero cd-type")
         return hash((self.S, self.D, self.d))
 
     def __repr__(self):
@@ -195,22 +197,13 @@ class CdType:
             return "CdType.zero()"
         return f"CdType.triple({self.S!r}, {self.D!r}, {self.d!r})"
 
-    @classmethod
-    def zero_type(cls):
-        return ZERO_TYPE
-
     @property
     def is_positive(self):
         """Membership in the positive class: every phi value at least 1."""
-        if self.zero:
-            return False
-        phi = self.to_phi()
-        return phi.inf() >= 1
+        return self.to_phi().inf() >= 1
 
     @property
     def is_finite(self):
-        if self.zero:
-            return True
         return all(is_finite(v) for v in
                    (self.d.at_zero, self.d.default,
                     *(v for _, v in self.d.exceptions)))
@@ -221,8 +214,6 @@ class CdType:
         phi(Q) = d(0); phi(Zp) = d(p); phi(Zpinf) = d(p) - chi_D(p);
         phi(Zloc) = d(0) off S and max(d(0), d(p) - chi_D(p) + 1) on S.
         """
-        if self.zero:
-            return BocksteinFn.constant(0)
         d0 = self.d.at_zero
         zpinf = self.d.sub(indicator(self.D))
         const0 = PrimeFn.constant(d0)
@@ -234,30 +225,30 @@ class CdType:
     def from_phi(cls, phi: BocksteinFn) -> "CdType":
         """Invert to_phi on a valid Bockstein function.
 
-        S is where Z_(p) and Z(p^inf) values split (the singular
-        primes), D is where Z/p and Z(p^inf) split (the deficient
-        ones), and d is read off the field slots.
+        S is where the slots leave the regular profile (phi(Q) in all
+        three): where Z_(p) and Z(p^inf) values split, or Z/p differs
+        from Q.  D is where Z/p and Z(p^inf) split (the deficient
+        primes), and d is read off the field slots.
         """
         bad = validate(phi)
         if bad:
             raise ValueError(f"invalid Bockstein function: {bad}")
-        s = phi.zloc.differ(phi.zpinf)
-        dset = phi.zp.differ(phi.zpinf)
-        return cls.triple(s, dset, phi.zp)
+        s = (phi.zloc.differ(phi.zpinf)
+             | phi.zp.differ(PrimeFn.constant(phi.phi_q)))
+        # d = d(0) off S by the second term; on D with phi(Zp) = phi(Q),
+        # phi(Zpinf) < phi(Q) <= phi(Zloc) (BI1, BI4), so D lies in S.
+        return cls._build(s, phi.zp.differ(phi.zpinf), phi.zp)
 
     # -- algebra ---------------------------------------------------------
 
     def sum(self, other: "CdType") -> "CdType":
         """The operation [+]; the type of a product of compacta."""
-        if self.zero:
-            return other
-        if other.zero:
-            return self
         return CdType.triple(
             self.S | other.S, self.D | other.D, self.d.add(other.d))
 
     def times(self, other: "CdType") -> "CdType":
         """The formal operation [x] of the type algebra."""
+        # Zero absorbs even nat(inf), where the formula meets inf - inf.
         if self.zero or other.zero:
             return ZERO_TYPE
         a0, b0 = self.d.at_zero, other.d.at_zero
@@ -270,7 +261,11 @@ class CdType:
             prod.map(lambda v: v + const))
 
     def wedge(self, other: "CdType") -> "CdType":
-        """Pointwise max of the two Bockstein functions."""
+        """Pointwise max of the two Bockstein functions.
+
+        The zero type is the unit even for extended types, whose
+        negative values a max with its phi = 0 would lift.
+        """
         if self.zero:
             return other
         if other.zero:
@@ -281,26 +276,18 @@ class CdType:
         """The k-fold sum [+] of this type with itself."""
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"scale needs an integer k >= 1: {k!r}")
-        if self.zero:
-            return self
         return CdType.triple(self.S, self.D, self.d.map(lambda v: v * k))
 
     def norm(self):
         """sup over primes and 0 of d + chi_{S-D}; the integral dimension."""
-        if self.zero:
-            return 0
         return self.d.add(indicator(self.S - self.D)).sup()
 
     def inferior_norm(self):
         """min over primes and 0 of d - chi_D; the least phi value."""
-        if self.zero:
-            return 0
         return self.d.sub(indicator(self.D)).inf()
 
     def conjugate(self) -> "CdType":
         """The conjugate (S, S - D; -d); defined for finite d only."""
-        if self.zero:
-            return self
         if not self.is_finite:
             raise ValueError("conjugation needs finite d values")
         return CdType.triple(self.S, self.S - self.D,
@@ -347,7 +334,7 @@ class CdType:
                 f"d={self.d.render()})")
 
 
-ZERO_TYPE = CdType(True)
+ZERO_TYPE = CdType(EMPTY, EMPTY, PrimeFn.constant(0))
 
 
 def _level(n, message):
@@ -428,19 +415,23 @@ def phi_basis(basis: Basis, n) -> CdType:
     _level(n, "Phi needs n >= 1")
     if n == 1:
         return nat(1)
-    p = basis.p
     if basis.kind == "Q":
-        return CdType.triple(ALL_PRIMES, EMPTY, PrimeFn(n, 1))
-    if basis.kind == "Zloc":
-        return CdType.triple(PrimeSet.all_except(p), EMPTY,
-                             PrimeFn(n, 1, [(p, n)]))
-    if basis.kind == "Zp":
-        return CdType.triple(PrimeSet.of(p), PrimeSet.of(p),
-                             PrimeFn(1, 1, [(p, n)]))
-    if basis.kind == "ZpInf":
-        return CdType.triple(PrimeSet.of(p), EMPTY,
-                             PrimeFn(1, 1, [(p, n - 1)]))
-    raise ValueError(f"unknown basis kind: {basis.kind!r}")
+        # Z localized at no prime is Q.
+        return _kuzminov("Zloc", n, EMPTY)
+    return _kuzminov(basis.kind, n, PrimeSet._make((basis.p,), False))
+
+
+def _kuzminov(kind, n, over: PrimeSet) -> CdType:
+    """The wedge of Phi(kind(p), n) over the primes p of P = over, n >= 2:
+        Zp:    (P, P;      d(0)=1, d=n on P, d=1 off P)
+        ZpInf: (P, {};     d(0)=1, d=n-1 on P, d=1 off P)
+        Zloc:  (all-P, {}; d(0)=n, d=n on P, d=1 off P)
+    """
+    d = select(over, PrimeFn.constant(n - 1 if kind == "ZpInf" else n),
+               PrimeFn._make(n if kind == "Zloc" else 1, 1, ()))
+    if kind == "Zloc":
+        return CdType.triple(~over, EMPTY, d)
+    return CdType.triple(over, over if kind == "Zp" else EMPTY, d)
 
 
 class UniformFamily:
@@ -462,59 +453,21 @@ class UniformFamily:
     def __repr__(self):
         return f"UniformFamily({self.kind!r}, {self.n!r}, {self.over!r})"
 
-    def phi_profiles(self):
-        """(own, other, at_q): per-slot values of one member at its own
-        prime, at any other prime, and at Q.  Slot order (zloc, zp, zpinf).
-        """
-        n = self.n
-        if self.kind == "Zloc":
-            return (n, n, n), (n, 1, 1), n
-        if self.kind == "Zp":
-            return (n, n, n - 1), (1, 1, 1), 1
-        return (n, n - 1, n - 1), (1, 1, 1), 1
-
-
-def _family_phi(fam: UniformFamily) -> BocksteinFn:
-    # The pointwise max of the family's members.  At a prime inside the
-    # index set both the own-prime profile and (when another member
-    # exists) the other-prime profile compete; outside only the latter.
-    own, other, at_q = fam.phi_profiles()
-    single = fam.over.is_finite and len(fam.over.primes) == 1
-    inside = own if single else tuple(max(o, t) for o, t in zip(own, other))
-    fns = []
-    for i in range(3):
-        fns.append(select(fam.over,
-                          PrimeFn.constant(inside[i]),
-                          PrimeFn.constant(other[i])))
-    return BocksteinFn(at_q, fns[1], fns[2], fns[0])
-
 
 def wedge_family(explicit=(), families=()) -> CdType:
     """Wedge of finitely many types and uniform prime-indexed families.
 
     The wedge of nothing is the zero type.  Families over empty sets
-    contribute nothing; singleton families are just their one member.
+    contribute nothing.
     """
-    phi = None
-    for t in explicit:
-        if t.zero:
-            continue
-        tphi = t.to_phi()
-        phi = tphi if phi is None else phi.max_with(tphi)
-    for fam in families:
-        if fam.over.is_empty:
-            continue
-        if fam.n == 1:
-            fphi = BocksteinFn.constant(1)
-        elif fam.over.is_finite and len(fam.over.primes) == 1:
-            fphi = phi_basis(Basis(fam.kind, fam.over.primes[0]),
-                             fam.n).to_phi()
-        else:
-            fphi = _family_phi(fam)
-        phi = fphi if phi is None else phi.max_with(fphi)
-    if phi is None:
+    members = [t for t in explicit if not t.zero]
+    members.extend(nat(1) if fam.n == 1 else
+                   _kuzminov(fam.kind, fam.n, fam.over)
+                   for fam in families if not fam.over.is_empty)
+    if not members:
         return ZERO_TYPE
-    return CdType.from_phi(phi)
+    return CdType.from_phi(
+        reduce(BocksteinFn.max_with, [t.to_phi() for t in members]))
 
 
 class Decomposition:
@@ -564,7 +517,7 @@ def decompose(f: CdType) -> Decomposition:
     Recipe: k_Q = d(0); k_Zloc(p) = d(p) off S; k_Zp(p) = d(p) on D;
     k_Zpinf(p) = d(p) + 1 on S - D; everything else 1.
     """
-    if f.zero or not f.is_positive:
+    if not f.is_positive:
         raise ValueError("decompose needs a type from the positive class")
     one = PrimeFn.constant(1)
     if f.norm() == 1:

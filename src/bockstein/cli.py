@@ -24,6 +24,7 @@ import sys
 from math import gcd
 
 from . import chains, simplicial
+from .chains import GroupReport
 from .cdtype import Basis, CdType, decompose, nat, phi_basis
 from .dimension import _BASIS_GROUP, dim, fundamental_product_dim, test_space
 from .groups import Q, SumOverPrimes, Z, Zinv, Zloc, Zmod, ZpInf, sigma
@@ -686,25 +687,10 @@ def _check_line(checks, lines, name, ok, detail):
     lines.append(f"  {name}: {detail}  {'ok' if ok else 'FAIL'}")
 
 
-def _group_text(free_rank, orders):
-    if free_rank == 0 and not orders:
-        return "0"
-    parts = ["Z"] * free_rank + [f"Z/{t}" for t in orders]
-    return " + ".join(parts)
-
-
-def _report_matches(report, free_rank, orders):
-    return (report.free_rank == free_rank
-            and tuple(report.orders) == tuple(orders))
-
-
 def _ext_mod_p(p, coeff):
-    """Ext(Z/p, coeff) as (free_rank, orders): the expected relative H^2."""
-    if coeff is Z:
-        return 0, (p,)
-    if isinstance(coeff, Zmod):
-        return (0, (p,)) if coeff.p == p else (0, ())
-    return 0, ()
+    """Ext(Z/p, coeff): the expected relative H^2."""
+    divides = coeff is Z or (isinstance(coeff, Zmod) and coeff.p == p)
+    return GroupReport(0, (p,) if divides else (), coeff)
 
 
 def _verify_mp_pair(p, coeff):
@@ -713,18 +699,17 @@ def _verify_mp_pair(p, coeff):
     checks, lines = [], [f"mp-pair: M_{p} rel its source circle"]
 
     integral = simplicial.homology_of(cyl.complex, relative_to=boundary)
-    got = [integral[k].render() for k in (0, 1, 2)]
-    ok = (integral[0].is_zero and integral[2].is_zero
-          and _report_matches(integral[1], 0, (p,)))
-    _check_line(checks, lines, "H_*(M_p, dM_p; Z)",
-                ok, f"{', '.join(got)} (expected 0, Z/{p}, 0)")
+    got = [integral[k] for k in (0, 1, 2)]
+    exp = [GroupReport(0, orders, Z) for orders in ((), (p,), ())]
+    _check_line(checks, lines, "H_*(M_p, dM_p; Z)", got == exp,
+                f"{', '.join(g.render() for g in got)} "
+                f"(expected {', '.join(g.render() for g in exp)})")
 
     rep = simplicial.cohomology_of(cyl.complex, coeff,
                                    relative_to=boundary)
     exp = _ext_mod_p(p, coeff)
-    ok = _report_matches(rep[2], *exp)
     _check_line(checks, lines, f"H^2(M_p, dM_p; {coeff.render()})",
-                ok, f"{rep[2].render()} (expected {_group_text(*exp)})")
+                rep[2] == exp, f"{rep[2].render()} (expected {exp.render()})")
 
     cone, xi, base = cyl.collapse()
     induced = simplicial.induced(xi, 2, Zmod(p),
@@ -754,9 +739,9 @@ def _verify_ew(p, n):
     checks, lines = [], [f"ew: EW skeleton of the {n + 1}-simplex, "
                          f"group Z/{p}, n={n}"]
     integral = chains.homology(ew)
-    ok = _report_matches(integral[n], 0, (p,))
-    _check_line(checks, lines, f"H_{n}(EW; Z)",
-                ok, f"{integral[n].render()} (expected Z/{p})")
+    exp = GroupReport(0, (p,), Z)
+    _check_line(checks, lines, f"H_{n}(EW; Z)", integral[n] == exp,
+                f"{integral[n].render()} (expected {exp.render()})")
     rep = chains.induced_map(inclusion, n, Zmod(p))
     _check_line(checks, lines,
                 f"skeleton inclusion on H_{n}(.; Z/{p})",
@@ -769,14 +754,11 @@ def _verify_join(p, q):
     right = chains.moore_space(q, 1)
     rep = chains.join_homology(left, right)
     g = gcd(p, q)
-    expected = {i: ((0, (g,)) if g > 1 and i in (3, 4) else (0, ()))
-                for i in range(max(rep.degrees(), default=4) + 1)}
     checks, lines = [], [f"join: M(Z/{p}, 1) * M(Z/{q}, 1)"]
-    for i in sorted(expected):
-        ok = _report_matches(rep[i], *expected[i])
-        _check_line(checks, lines, f"H~_{i}",
-                    ok, f"{rep[i].render()} "
-                        f"(expected {_group_text(*expected[i])})")
+    for i in range(max(rep.degrees(), default=4) + 1):
+        exp = GroupReport(0, (g,) if g > 1 and i in (3, 4) else (), Z)
+        _check_line(checks, lines, f"H~_{i}", rep[i] == exp,
+                    f"{rep[i].render()} (expected {exp.render()})")
     return checks, lines
 
 
@@ -832,9 +814,13 @@ def _parse_coeff(text):
     raise CliError(f"unsupported coefficient group: {text!r}")
 
 
-def _cmd_eval(args):
-    result = evaluate(parse(args.expr))
+def _query(parsed):
+    result = evaluate(parsed)
     return 0, result["text"], result["json"]
+
+
+def _cmd_eval(args):
+    return _query(parse(args.expr))
 
 
 def _cmd_table(args):
@@ -843,14 +829,11 @@ def _cmd_table(args):
 
 
 def _cmd_decompose(args):
-    dec = decompose(_eval_cd(parse_cdexpr(args.expr)))
-    return 0, _decomposition_text(dec), {
-        "query": "decompose", "value": _decomposition_json(dec)}
+    return _query(("query", "decompose", (parse_cdexpr(args.expr),)))
 
 
 def _cmd_sigma(args):
-    fam = sigma(parse_group(args.group))
-    return 0, fam.render(), {"query": "sigma", "value": _family_json(fam)}
+    return _query(("query", "sigma", (parse_group(args.group),)))
 
 
 def _cmd_verify(args):

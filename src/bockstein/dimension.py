@@ -55,16 +55,12 @@ def dim(f: CdType, group):
 def deficiency(f: CdType, p) -> int:
     """phi(Zp) - phi(Zpinf) at p; always 0 or 1."""
     check_prime(p)
-    if f.zero:
-        return 0
     return 1 if p in f.D else 0
 
 
 def p_regular(f: CdType, p) -> bool:
     """Whether all four dimensions at p agree with the rational one."""
     check_prime(p)
-    if f.zero:
-        return True
     return p not in f.S
 
 
@@ -188,15 +184,14 @@ def anr_admissible(f: CdType):
     exists; these are filters, not a characterization.
     """
     violated = []
-    if not f.zero:
-        phi = f.to_phi()
-        if not phi.zloc.differ(phi.zp).is_empty:
-            violated.append("a")
-        low = min(phi.zloc.inf(), phi.zp.inf(), phi.zpinf.inf())
-        if low < phi.phi_q:
-            violated.append("b")
-        if f.norm() == 2 and not is_full_valued(f):
-            violated.append("c")
+    phi = f.to_phi()
+    if not phi.zloc.differ(phi.zp).is_empty:
+        violated.append("a")
+    low = min(phi.zloc.inf(), phi.zp.inf(), phi.zpinf.inf())
+    if low < phi.phi_q:
+        violated.append("b")
+    if f.norm() == 2 and not is_full_valued(f):
+        violated.append("c")
     return (not violated, violated)
 
 

@@ -295,7 +295,7 @@ def _law_conjugation_zero(ctx, f):
     if c.conjugate() != f:
         yield _fail(f.render(), f.render(), c.conjugate().render())
     s = f.sum(c)
-    expected = f if f.zero else CdType.triple(f.S, f.S, PrimeFn.constant(0))
+    expected = CdType.triple(f.S, f.S, PrimeFn.constant(0))
     if s != expected:
         yield _fail(f.render(), expected.render(), s.render())
     if s.norm() != 0:
@@ -317,18 +317,15 @@ def _law_bockstein_alternative(ctx, f):
         if l != phi.phi_q and l != i + 1:
             yield _fail(f"{f.render()} at {where}",
                         "phi(Zloc) = phi(Q) or phi(Zpinf) + 1", l)
-    if not f.zero:
-        for p in ctx.primes:
-            if p in f.S:
-                l, _, i = phi.at(p)
-                if l != max(phi.phi_q, i + 1):
-                    yield _fail(f"{f.render()} at singular {p}",
-                                max(phi.phi_q, i + 1), l)
+    for p in ctx.primes:
+        if p in f.S:
+            l, _, i = phi.at(p)
+            if l != max(phi.phi_q, i + 1):
+                yield _fail(f"{f.render()} at singular {p}",
+                            max(phi.phi_q, i + 1), l)
 
 
 def _law_field_bound(ctx, f):
-    if f.zero:
-        return
     cap = f.d.sup() + 1
     if f.norm() > cap:
         yield _fail(f.render(), f"norm at most {cap}", f.norm())
@@ -356,8 +353,6 @@ def _law_deficiency_product(ctx, f1, f2):
 
 
 def _law_singular_zpinf(ctx, f1, f2):
-    if f1.zero or f2.zero:
-        return
     phi1 = f1.to_phi()
     phi2 = f2.to_phi()
     phi_s = None
@@ -373,7 +368,7 @@ def _law_singular_zpinf(ctx, f1, f2):
 
 
 def _law_power_dichotomy(ctx, f):
-    if f.zero or not f.is_positive:
+    if not f.is_positive:
         return
     n = f.norm()
     if not is_finite(n) or n < 1:
@@ -391,7 +386,7 @@ def _law_power_dichotomy(ctx, f):
 
 
 def _law_norm_basis(ctx, f):
-    if f.zero or not f.is_positive:
+    if not f.is_positive:
         return
     nf = f.norm()
     phi = f.to_phi()
@@ -406,7 +401,7 @@ def _law_norm_basis(ctx, f):
 
 
 def _law_decompose(ctx, f):
-    if f.zero or not f.is_positive:
+    if not f.is_positive:
         return
     back = decompose(f).rewedge()
     if back != f:
@@ -414,8 +409,6 @@ def _law_decompose(ctx, f):
 
 
 def _law_regular_factor(ctx, f1, f2):
-    if f1.zero:
-        return
     s = f1.sum(f2)
     for p in ctx.primes:
         if not p_regular(f1, p):
@@ -429,7 +422,7 @@ def _law_regular_factor(ctx, f1, f2):
 
 
 def _law_full_valued(ctx, f1, f2):
-    if f1.zero or not is_full_valued(f1):
+    if not is_full_valued(f1):
         return
     want = f1.norm() + f2.norm()
     got = f1.sum(f2).norm()
@@ -465,7 +458,7 @@ def _law_same_type(ctx, f):
 
 
 def _law_testing(ctx, f):
-    if f.zero or not f.is_positive:
+    if not f.is_positive:
         return
     nf = f.norm()
     if not is_finite(nf):
@@ -516,7 +509,7 @@ def _law_sigma_consistency(ctx, f):
 
 
 def _law_anr_basic(ctx, f):
-    if f.zero or not f.is_positive:
+    if not f.is_positive:
         return
     ok, _ = anr_admissible(f)
     if not ok:

@@ -520,19 +520,13 @@ class PrimeFn:
         """Exact infimum over the primes and the 0 slot."""
         return min(self.default, self.at_zero, *(v for _, v in self.exceptions))
 
-    def _extreme_over(self, s, pick):
+    def sup_over(self, s: PrimeSet):
+        """Supremum of values over the primes of s; None for empty s."""
         if s.is_empty:
             return None
         if s.is_finite:
-            return pick(self._value(p) for p in s.primes)
-        return pick([self.default, *(v for p, v in self.exceptions if p in s)])
-
-    def sup_over(self, s: PrimeSet):
-        """Supremum of values over the primes of s; None for empty s."""
-        return self._extreme_over(s, max)
-
-    def inf_over(self, s: PrimeSet):
-        return self._extreme_over(s, min)
+            return max(self._value(p) for p in s.primes)
+        return max([self.default, *(v for p, v in self.exceptions if p in s)])
 
     def where_equal(self, value) -> PrimeSet:
         """The set of primes at which the function takes the given value."""

@@ -1,15 +1,17 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bockstein.cdtype import (
     ZERO_TYPE, Basis, BocksteinFn, CdType, decompose, nat, phi_basis,
     validate, wedge_family, UniformFamily,
 )
+from bockstein.oracle import Universe, enumerate_types
 from bockstein.primes import (
-    ALL_PRIMES, EMPTY, INF, PrimeFn, PrimeSet,
+    ALL_PRIMES, EMPTY, INF, PrimeFn, PrimeSet, UndefinedArithmetic,
 )
 
 from oracles import bi_ok_brute, fig1_row, valid_quadruples
@@ -289,3 +291,103 @@ class TestWedgeFamily:
     def test_singleton_family_is_member(self):
         f = wedge_family(families=[UniformFamily("ZpInf", 4, S(3))])
         assert f == phi_basis(Basis.zpinf(3), 4)
+
+
+BASES = [Basis.q()] + [Basis(kind, p) for kind in ("Zp", "ZpInf", "Zloc")
+                       for p in (2, 3)]
+
+# Zero first, then standard, extended and infinite-level types.
+POOL = [ZERO_TYPE, nat(INF)]
+POOL += enumerate_types(Universe([2, 3], 2))
+POOL += enumerate_types(Universe([2, 3], 1, True))
+POOL += [phi_basis(b, INF) for b in BASES]
+POOL += [f.conjugate() for f in enumerate_types(Universe([2], 2))]
+FAMILIES = [UniformFamily(kind, n, over)
+            for kind in ("Zp", "ZpInf", "Zloc") for n in (1, 2, INF)
+            for over in (EMPTY, S(2), S(2, 3), PrimeSet.all_except(3))]
+
+
+def _results(f, g, fam):
+    out = [f.sum(g), f.wedge(g), f.scale(2), CdType.from_phi(f.to_phi()),
+           wedge_family([f, g], [fam]), wedge_family(families=[fam])]
+    try:
+        out.append(f.times(g))
+    except UndefinedArithmetic:
+        pass        # inf - inf in the [x] formula
+    if f.is_finite:
+        out += [f.conjugate(), f.sum(f.conjugate())]
+    return out + [CdType.from_phi(r.to_phi()) for r in out]
+
+
+class TestCanonicalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(POOL), st.sampled_from(POOL),
+           st.sampled_from(FAMILIES))
+    def test_results_are_canonical_triples(self, f, g, fam):
+        for r in _results(f, g, fam):
+            assert (r is ZERO_TYPE) == (r == ZERO_TYPE), repr(r)
+            assert CdType.triple(r.S, r.D, r.d) == r, repr(r)
+
+    def test_every_zero_result_is_the_zero_type(self):
+        conj = nat(2).conjugate()
+        for r in (ZERO_TYPE.sum(ZERO_TYPE), nat(2).sum(conj),
+                  ZERO_TYPE.scale(3), ZERO_TYPE.conjugate(),
+                  CdType.from_phi(ZERO_TYPE.to_phi()),
+                  wedge_family([ZERO_TYPE]), ZERO_TYPE.times(nat(INF))):
+            assert r is ZERO_TYPE
+        assert CdType.__slots__ == ("S", "D", "d")
+
+
+def _members_max(kind, n, primes):
+    return reduce(BocksteinFn.max_with,
+                  [phi_basis(Basis(kind, p), n).to_phi() for p in primes])
+
+
+class TestKuzminovFamilies:
+    @pytest.mark.parametrize("kind", ["Zp", "ZpInf", "Zloc"])
+    @pytest.mark.parametrize("n", [1, 2, 3, INF])
+    def test_finite_family_is_the_max_of_its_members(self, kind, n):
+        for size in (1, 2, 3):
+            for primes in itertools.combinations((2, 3, 5, 7), size):
+                fam = UniformFamily(kind, n, S(*primes))
+                got = wedge_family(families=[fam]).to_phi()
+                assert got == _members_max(kind, n, primes), primes
+
+    @pytest.mark.parametrize("kind", ["Zp", "ZpInf", "Zloc"])
+    @pytest.mark.parametrize("n", [1, 2, 3, INF])
+    def test_cofinite_family_reads_off_two_members(self, kind, n):
+        for over in (ALL_PRIMES, PrimeSet.all_except(2)):
+            phi = wedge_family(families=[UniformFamily(kind, n, over)]).to_phi()
+            # probe prime -> two members whose wedge it must match there
+            probes = {3: (3, 5), 5: (5, 7), 97: (97, 3)}
+            probes[2] = (2, 3) if 2 in over else (3, 5)
+            for p, members in probes.items():
+                two = _members_max(kind, n, members)
+                assert phi.at(p) == two.at(p), (over, p)
+                assert phi.phi_q == two.phi_q
+            # the default region is the value at an unlisted prime
+            assert (phi.zloc.default, phi.zp.default,
+                    phi.zpinf.default) == phi.at(97)
+
+
+class TestInfiniteValues:
+    def test_valid_functions_with_inf_are_accepted(self):
+        f = phi_basis(Basis.zp(2), INF)
+        phi = f.to_phi()
+        assert validate(phi) == []
+        back = CdType.from_phi(phi)
+        assert back.to_phi() == phi
+        # the twin without 2 in D has the same Bockstein function
+        assert back == CdType.triple(S(2), EMPTY, f.d)
+        assert f.wedge(f).to_phi() == phi
+        assert f.wedge(nat(1)).to_phi() == phi
+
+    def test_wedge_of_an_infinite_triple_with_itself(self):
+        f = CdType.triple(S(3), EMPTY, PrimeFn(2, 2, [(3, INF)]))
+        assert f.wedge(f) == f
+
+    def test_infinite_level_families(self):
+        for kind in ("Zp", "ZpInf", "Zloc"):
+            fam = UniformFamily(kind, INF, S(2, 3))
+            f = wedge_family(families=[fam])
+            assert f.to_phi() == _members_max(kind, INF, (2, 3))

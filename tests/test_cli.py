@@ -114,6 +114,12 @@ class TestEval:
         code, out, err = run(capsys, ["eval", f"norm({expr})"])
         assert (code, out, err) == (0, "1500\n", "")
 
+    def test_wedge_with_infinite_values(self, capsys):
+        f = "triple(S={3}, D={}, d={zero: 2, default: 2, 3: inf})"
+        code, out, err = run(capsys, ["eval", f"{f} \\/ {f}"])
+        assert (code, err) == (0, "")
+        assert out == f + "\n"
+
     def test_json_is_sorted_and_stable(self, capsys):
         argv = ["eval", "--json", "norm(Phi(Zp(2),3) [+] Phi(Q,2))"]
         code, first, _ = run(capsys, argv)
