@@ -193,8 +193,6 @@ class CdType:
         return hash((self.S, self.D, self.d))
 
     def __repr__(self):
-        if self.zero:
-            return "CdType.zero()"
         return f"CdType.triple({self.S!r}, {self.D!r}, {self.d!r})"
 
     @property

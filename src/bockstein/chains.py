@@ -14,15 +14,21 @@ never divides.  It supplies Betti numbers, homology bases and induced
 maps, and stays exact and fast on complexes far too large for dense
 elimination.
 
-Boundary and chain-map matrices are stored as sparse integer columns.
-Dense views are plain lists of int rows.
+Boundary and chain-map matrices are stored as frozen sparse columns:
+tuples of (row, value) pairs, rows ascending, zeros dropped.  Chain
+data is validated once, at the public constructors (ChainComplex(...),
+ChainComplex.from_columns, ChainMap(...), ChainMap.from_columns).
+Complexes and maps the library derives itself (simplicial chains,
+Edwards-Walsh skeleta, quotients) are built by the trusted _make
+constructors and read by both routes as they are.  Dense views are
+plain lists of int rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .groups import Q as Q_GROUP
 from .groups import Z as Z_GROUP
@@ -168,6 +174,9 @@ def _int_inverse(m):
 
 
 # -- sparse column plumbing --------------------------------------------------
+#
+# A frozen column is a tuple of (row, value) pairs, rows ascending, zeros
+# dropped; a frozen matrix is a tuple of frozen columns.
 
 def _freeze_column(col, rows, where):
     out = []
@@ -183,11 +192,8 @@ def _freeze_column(col, rows, where):
 def _columns_from_dense(mat, rows, cols, where):
     if len(mat) != rows or any(len(r) != cols for r in mat):
         raise ValueError(f"{where} must be {rows} x {cols}")
-    out = []
-    for j in range(cols):
-        out.append(tuple((i, int(mat[i][j])) for i in range(rows)
-                         if mat[i][j]))
-    return tuple(out)
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]}
+            for j in range(cols)]
 
 
 def _dense_from_columns(columns, rows, cols):
@@ -196,6 +202,21 @@ def _dense_from_columns(columns, rows, cols):
         for i, v in col:
             mat[i][j] = v
     return mat
+
+
+def _zero_columns(n):
+    return ((),) * n
+
+
+def _nonzero_degrees(columns):
+    return {k: cols for k, cols in columns.items() if any(cols)}
+
+
+def _restrict(cols, keep_cols, keep_rows):
+    """The columns keep_cols of a frozen matrix, cut down to the rows in
+    keep_rows (a dict from old to new row, increasing) and renumbered."""
+    return tuple(tuple((keep_rows[i], v) for i, v in cols[j] if i in keep_rows)
+                 for j in keep_cols)
 
 
 def _sparse_compose(cols_low, col):
@@ -218,49 +239,55 @@ class ChainComplex:
 
     ranks[k] is the rank in degree k.  Boundaries map degree k to the
     matrix of C_k -> C_{k-1} (ranks[k-1] rows, ranks[k] columns); they
-    are stored sparsely and missing degrees are zero.  The square-zero
-    identity is checked on construction.
+    are stored as frozen columns and missing degrees are zero.  The
+    public constructors check the data, the square-zero identity
+    included; complexes the library derives are built by _make.
     """
 
     __slots__ = ("ranks", "_cols")
 
     def __init__(self, ranks, boundaries=None):
-        self.ranks = tuple(int(r) for r in ranks)
-        if not self.ranks or any(r < 0 for r in self.ranks):
-            raise ValueError("ranks must be a nonempty list of nonnegatives")
-        self._cols = {}
-        for k, mat in (boundaries or {}).items():
-            self._install(k, _columns_from_dense(
-                mat, self.rank(k - 1), self.rank(k), f"boundary {k}"))
-        self._check_square_zero()
+        self._set_ranks(ranks)
+        self._fill((k, _columns_from_dense(mat, self.rank(k - 1),
+                                           self.rank(k), f"boundary {k}"))
+                   for k, mat in (boundaries or {}).items())
 
     @classmethod
     def from_columns(cls, ranks, columns):
         """Build from sparse data: columns[k] lists, per basis element
         of degree k, a dict from row index to integer coefficient."""
         c = cls.__new__(cls)
-        c.ranks = tuple(int(r) for r in ranks)
-        if not c.ranks or any(r < 0 for r in c.ranks):
-            raise ValueError("ranks must be a nonempty list of nonnegatives")
-        c._cols = {}
-        for k, cols in columns.items():
-            cols = list(cols)
-            if len(cols) != c.rank(k):
-                raise ValueError(f"boundary {k} needs {c.rank(k)} columns")
-            frozen = tuple(_freeze_column(col, c.rank(k - 1),
-                                          f"boundary {k}")
-                           for col in cols)
-            c._install(k, frozen)
-        c._check_square_zero()
+        c._set_ranks(ranks)
+        c._fill(columns.items())
         return c
 
-    def _install(self, k, frozen):
-        if not 1 <= k <= self.top:
-            raise ValueError(f"boundary degree {k} out of range")
-        if any(frozen):
-            self._cols[k] = frozen
+    @classmethod
+    def _make(cls, ranks, columns):
+        """Trusted constructor: ranks is a tuple of nonnegative ints and
+        columns[k] a frozen matrix of the right shape with square zero.
+        Nothing is checked; degrees with all columns empty are dropped."""
+        c = cls.__new__(cls)
+        c.ranks = ranks
+        c._cols = _nonzero_degrees(columns)
+        return c
 
-    def _check_square_zero(self):
+    def _set_ranks(self, ranks):
+        self.ranks = tuple(int(r) for r in ranks)
+        if not self.ranks or any(r < 0 for r in self.ranks):
+            raise ValueError("ranks must be a nonempty list of nonnegatives")
+
+    def _fill(self, items):
+        columns = {}
+        for k, cols in items:
+            cols = list(cols)
+            if len(cols) != self.rank(k):
+                raise ValueError(f"boundary {k} needs {self.rank(k)} columns")
+            columns[k] = tuple(_freeze_column(col, self.rank(k - 1),
+                                              f"boundary {k}")
+                               for col in cols)
+            if not 1 <= k <= self.top:
+                raise ValueError(f"boundary degree {k} out of range")
+        self._cols = _nonzero_degrees(columns)
         for k in range(2, self.top + 1):
             if k in self._cols and (k - 1) in self._cols:
                 below = self._cols[k - 1]
@@ -279,26 +306,27 @@ class ChainComplex:
             return self.ranks[k]
         return 0
 
+    def _columns(self, k):
+        return self._cols.get(k) or _zero_columns(self.rank(k))
+
     def sparse_boundary(self, k):
         """Columns of the boundary C_k -> C_{k-1} as fresh dicts."""
-        cols = self._cols.get(k)
-        if cols is None:
-            return [{} for _ in range(self.rank(k))]
-        return [dict(col) for col in cols]
+        return [dict(col) for col in self._columns(k)]
 
     def boundary(self, k):
         """Dense view of the boundary matrix (mutable rows)."""
-        cols = self._cols.get(k)
-        rows, n = self.rank(k - 1), self.rank(k)
-        if cols is None:
-            return _zero_matrix(rows, n)
-        return _dense_from_columns(cols, rows, n)
+        return _dense_from_columns(self._cols.get(k, ()), self.rank(k - 1),
+                                   self.rank(k))
 
     def euler(self):
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
     def __repr__(self):
         return f"ChainComplex(ranks={self.ranks!r})"
+
+
+def _renumbering(kept):
+    return {k: {i: n for n, i in enumerate(idx)} for k, idx in kept.items()}
 
 
 def quotient_complex(c: ChainComplex, sub):
@@ -314,120 +342,97 @@ def quotient_complex(c: ChainComplex, sub):
         if chosen and (chosen[0] < 0 or chosen[-1] >= c.rank(k)):
             raise ValueError(f"sub index out of range in degree {k}")
         inside[k] = set(chosen)
-    for k in range(1, c.top + 1):
-        cols_in = inside.get(k)
-        if not cols_in:
-            continue
+    for k in sorted(c._cols):
         rows_in = inside.get(k - 1, set())
-        cols = c.sparse_boundary(k)
-        for j in cols_in:
-            if any(i not in rows_in for i in cols[j]):
+        cols = c._cols[k]
+        for j in inside.get(k, ()):
+            if any(i not in rows_in for i, _ in cols[j]):
                 raise ValueError(
                     f"not a subcomplex: boundary leaks in degree {k}")
     kept = {}
-    ranks = []
     for k in range(c.top + 1):
         drop = inside.get(k, set())
         kept[k] = tuple(i for i in range(c.rank(k)) if i not in drop)
-        ranks.append(len(kept[k]))
-    renumber = {k: {i: n for n, i in enumerate(kept[k])} for k in kept}
-    columns = {}
-    for k in range(1, c.top + 1):
-        cols = c.sparse_boundary(k)
-        rows = renumber[k - 1]
-        columns[k] = [{rows[i]: v for i, v in cols[j].items() if i in rows}
-                      for j in kept[k]]
-    return ChainComplex.from_columns(ranks, columns), kept
+    renumber = _renumbering(kept)
+    columns = {k: _restrict(cols, kept[k], renumber[k - 1])
+               for k, cols in c._cols.items()}
+    ranks = tuple(len(kept[k]) for k in range(c.top + 1))
+    return ChainComplex._make(ranks, columns), kept
 
 
 class ChainMap:
-    """A degree-preserving map of chain complexes, checked to commute
-    with the boundaries.  The degree-k matrix has target.rank(k) rows
-    and source.rank(k) columns; missing degrees are zero.
+    """A degree-preserving map of chain complexes.  The degree-k matrix
+    has target.rank(k) rows and source.rank(k) columns; missing degrees
+    are zero.  The public constructors check that it commutes with the
+    boundaries; maps the library derives are built by _make.
     """
 
     __slots__ = ("source", "target", "_cols")
 
     def __init__(self, source, target, matrices):
-        self.source = source
-        self.target = target
-        self._cols = {}
-        for k, mat in matrices.items():
-            frozen = _columns_from_dense(mat, target.rank(k),
-                                         source.rank(k), f"degree {k}")
-            if any(frozen):
-                self._cols[k] = frozen
-        self._check_commutes()
+        self._fill(source, target,
+                   ((k, _columns_from_dense(mat, target.rank(k),
+                                            source.rank(k), f"degree {k}"))
+                    for k, mat in matrices.items()))
 
     @classmethod
     def from_columns(cls, source, target, columns):
         cm = cls.__new__(cls)
+        cm._fill(source, target, columns.items())
+        return cm
+
+    @classmethod
+    def _make(cls, source, target, columns):
+        """Trusted constructor: columns[k] is a frozen matrix of the
+        right shape that commutes with the boundaries.  Nothing is
+        checked; degrees with all columns empty are dropped."""
+        cm = cls.__new__(cls)
         cm.source = source
         cm.target = target
-        cm._cols = {}
-        for k, cols in columns.items():
+        cm._cols = _nonzero_degrees(columns)
+        return cm
+
+    def _fill(self, source, target, items):
+        self.source = source
+        self.target = target
+        columns = {}
+        for k, cols in items:
             cols = list(cols)
             if len(cols) != source.rank(k):
                 raise ValueError(
                     f"degree {k} needs {source.rank(k)} columns")
-            frozen = tuple(_freeze_column(col, target.rank(k),
-                                          f"degree {k}")
-                           for col in cols)
-            if any(frozen):
-                cm._cols[k] = frozen
-        cm._check_commutes()
-        return cm
-
-    @staticmethod
-    def _empty(n):
-        return tuple(() for _ in range(n))
-
-    def _check_commutes(self):
-        src, tgt = self.source, self.target
-        for k in range(1, max(src.top, tgt.top) + 1):
-            f_here = self._cols.get(k) or self._empty(src.rank(k))
-            f_below = self._cols.get(k - 1) or self._empty(src.rank(k - 1))
-            d_src = src._cols.get(k) or self._empty(src.rank(k))
-            d_tgt = tgt._cols.get(k) or self._empty(tgt.rank(k))
-            for j in range(src.rank(k)):
+            columns[k] = tuple(_freeze_column(col, target.rank(k),
+                                              f"degree {k}")
+                               for col in cols)
+        self._cols = _nonzero_degrees(columns)
+        for k in range(1, max(source.top, target.top) + 1):
+            f_here = self._cols.get(k) or _zero_columns(source.rank(k))
+            f_below = self._cols.get(k - 1) or _zero_columns(
+                source.rank(k - 1))
+            d_src, d_tgt = source._columns(k), target._columns(k)
+            for j in range(source.rank(k)):
                 lhs = _sparse_compose(f_below, d_src[j])
                 rhs = _sparse_compose(d_tgt, f_here[j])
                 if lhs != rhs:
                     raise ValueError(
                         f"chain map does not commute in degree {k}")
 
-    def sparse_matrix(self, k):
-        cols = self._cols.get(k)
-        if cols is None:
-            return [{} for _ in range(self.source.rank(k))]
-        return [dict(col) for col in cols]
-
-    def matrix(self, k):
-        cols = self._cols.get(k)
-        rows, n = self.target.rank(k), self.source.rank(k)
-        if cols is None:
-            return _zero_matrix(rows, n)
-        return _dense_from_columns(cols, rows, n)
-
     def quotient(self, sub_source, sub_target):
         """The induced map of quotient complexes (map of pairs)."""
         qs, kept_s = quotient_complex(self.source, sub_source)
         qt, kept_t = quotient_complex(self.target, sub_target)
-        renumber = {k: {i: n for n, i in enumerate(kept_t[k])}
-                    for k in kept_t}
+        renumber = _renumbering(kept_t)
         columns = {}
-        for k in range(self.source.top + 1):
-            cols = self.sparse_matrix(k)
-            rows = renumber.get(k, {})
+        for k in sorted(self._cols):
+            cols = self._cols[k]
+            rows = renumber[k]
             for j in set(sub_source.get(k, ())):
-                if any(i in rows for i in cols[j]):
+                if any(i in rows for i, _ in cols[j]):
                     raise ValueError(
                         f"map does not send the subcomplex into the "
                         f"subcomplex in degree {k}")
-            columns[k] = [{rows[i]: v for i, v in cols[j].items()
-                           if i in rows}
-                          for j in kept_s[k]]
-        return ChainMap.from_columns(qs, qt, columns)
+            columns[k] = _restrict(cols, kept_s[k], rows)
+        return ChainMap._make(qs, qt, columns)
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -522,37 +527,22 @@ def integral_homology(c: ChainComplex):
 def _invariant_factors(orders):
     """Canonical invariant-factor chain of a finite abelian group.
 
+    Each order is merged into the chain: Z/f + Z/n = Z/gcd + Z/lcm, and
+    the lcm carries on up.  Nothing is factored, so huge prime orders
+    cost no more than small ones.
+
     >>> _invariant_factors([2, 3])
     (6,)
     >>> _invariant_factors([2, 4, 3])
     (2, 12)
     """
-    exps = {}
-    for n in orders:
-        if n <= 1:
-            continue
-        m = n
-        d = 2
-        while d * d <= m:
-            e = 0
-            while m % d == 0:
-                e += 1
-                m //= d
-            if e:
-                exps.setdefault(d, []).append(e)
-            d += 1
-        if m > 1:
-            exps.setdefault(m, []).append(1)
-    for es in exps.values():
-        es.sort()
     factors = []
-    while any(exps.values()):
-        f = 1
-        for p, es in exps.items():
-            if es:
-                f *= p ** es.pop()
-        factors.append(f)
-    return tuple(sorted(factors))
+    for n in orders:
+        if n > 1:
+            for i, f in enumerate(factors):
+                factors[i], n = gcd(f, n), lcm(f, n)
+            factors.append(n)
+    return tuple(f for f in factors if f > 1)
 
 
 class GroupReport:
@@ -720,12 +710,13 @@ def _field_prime(coeff):
     return None if coeff is Q_GROUP else coeff.p
 
 
-def _field_vector(vec, p):
-    """An exact sparse vector over the field: reduced mod p, zeros
-    dropped; over Q it is already one."""
+def _field_vector(col, p):
+    """A fresh sparse vector over the field from (row, value) pairs:
+    reduced mod p, zeros dropped.  Over Q it is a plain copy, since
+    _Reducer.add takes its vector over and mutates it."""
     if p is None:
-        return vec
-    return {i: w for i, v in vec.items() if (w := v % p)}
+        return dict(col)
+    return {i: w for i, v in col if (w := v % p)}
 
 
 class _Reducer:
@@ -800,7 +791,7 @@ def _kernel(c: ChainComplex, k, p):
     """Basis of the k-cycles by left-to-right column reduction."""
     reducer = _Reducer(p)
     kernel = []
-    for j, col in enumerate(c.sparse_boundary(k)):
+    for j, col in enumerate(c._columns(k)):
         combo = {j: 1}
         if not reducer.add(_field_vector(col, p), combo):
             kernel.append(combo)
@@ -811,7 +802,7 @@ def _field_basis(c: ChainComplex, k, p):
     """Representative cycles of a basis of H_k(c; field), and the
     reducer that writes any other k-cycle in their coordinates."""
     space = _Reducer(p)
-    for col in c.sparse_boundary(k + 1):
+    for col in c._cols.get(k + 1, ()):
         space.add(_field_vector(col, p), {})
     reps = []
     for cycle in _kernel(c, k, p):
@@ -825,7 +816,7 @@ def field_betti(c: ChainComplex, coeff):
     the Smith-normal-form route."""
     p = _field_prime(coeff)
     ranks = [0] + [_rank((_field_vector(col, p)
-                          for col in c.sparse_boundary(k)), p)
+                          for col in c._cols.get(k, ())), p)
                    for k in range(1, c.top + 1)] + [0]
     return [c.rank(k) - ranks[k] - ranks[k + 1] for k in range(c.top + 1)]
 
@@ -877,7 +868,7 @@ def _field_induced(cm: ChainMap, degree, coeff, dual):
     for rep in reps_s:
         image = _sparse_compose(maps, rep.items()) if maps else {}
         coords = {}
-        if space_t.reduce(_field_vector(image, p), coords):
+        if space_t.reduce(_field_vector(image.items(), p), coords):
             raise ValueError("vector is not a cycle in this degree")
         images.append({j: -v % p if p else -v for j, v in coords.items()})
     n_s, n_t = len(reps_s), len(reps_t)
@@ -945,13 +936,14 @@ def _integral_induced(cm: ChainMap, degree, dual):
                          "dualize with field coefficients")
     basis_s, _ = _integral_free_basis(cm.source, degree)
     basis_t, coords_t = _integral_free_basis(cm.target, degree)
-    mat = cm.matrix(degree)
+    maps = cm._cols.get(degree)
     rows_t = cm.target.rank(degree)
     columns = []
     for chain in basis_s:
-        image = [sum(mat[i][t] * chain[t] for t in range(len(chain)))
-                 for i in range(rows_t)]
-        columns.append(coords_t(image))
+        # _sparse_compose takes only nonzero coefficients.
+        image = _sparse_compose(maps, [(t, x) for t, x in enumerate(chain)
+                                       if x]) if maps else {}
+        columns.append(coords_t([image.get(i, 0) for i in range(rows_t)]))
     out = [[columns[j][i] for j in range(len(basis_s))]
            for i in range(len(basis_t))]
     inv, _, _ = _snf_shaped(out, len(basis_t), len(basis_s))

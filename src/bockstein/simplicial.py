@@ -42,6 +42,14 @@ __all__ = [
 ]
 
 
+def _boundary_column(s, index, scale):
+    """The frozen boundary column of the sorted simplex s, times scale.
+    Dropping a later vertex leaves an earlier face, so the rows come out
+    ascending when i runs down."""
+    return tuple((index[s[:i] + s[i + 1:]][1], -scale if i % 2 else scale)
+                 for i in range(len(s) - 1, -1, -1))
+
+
 def _perm_sign(values):
     sign = 1
     vals = list(values)
@@ -136,18 +144,11 @@ class SimplicialComplex:
         if self._chain is not None:
             return self._chain
         top = max(self.dim, 0)
-        ranks = [len(self.simplices(k)) for k in range(top + 1)]
-        columns = {}
-        for k in range(1, top + 1):
-            cols = []
-            for s in self.simplices(k):
-                col = {}
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    col[self._index[face][1]] = (-1) ** i
-                cols.append(col)
-            columns[k] = cols
-        self._chain = chains.ChainComplex.from_columns(ranks, columns)
+        ranks = tuple(len(self.simplices(k)) for k in range(top + 1))
+        self._chain = chains.ChainComplex._make(ranks, {
+            k: tuple(_boundary_column(s, self._index, 1)
+                     for s in self.simplices(k))
+            for k in range(1, top + 1)})
         return self._chain
 
     def indices_of(self, sub):
@@ -202,20 +203,20 @@ class SimplicialMap:
     def chain_map(self):
         """The induced map of simplicial chain complexes.  Simplices
         collapsed by the vertex map contribute zero."""
-        src = self.source.chain_complex()
-        tgt = self.target.chain_complex()
+        index = self.target._index
         columns = {}
         for k in range(self.source.dim + 1):
             cols = []
             for s in self.source.simplices(k):
                 imgs = [self.vertex_map[v] for v in s]
                 if len(set(imgs)) != len(imgs):
-                    cols.append({})
-                    continue
-                t = tuple(sorted(imgs))
-                cols.append({self.target.index(t)[1]: _perm_sign(imgs)})
-            columns[k] = cols
-        return chains.ChainMap.from_columns(src, tgt, columns)
+                    cols.append(())
+                else:
+                    t = tuple(sorted(imgs))
+                    cols.append(((index[t][1], _perm_sign(imgs)),))
+            columns[k] = tuple(cols)
+        return chains.ChainMap._make(self.source.chain_complex(),
+                                     self.target.chain_complex(), columns)
 
     def __repr__(self):
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
@@ -448,29 +449,17 @@ def ew_skeleton(k_complex: SimplicialComplex, group, n):
         raise ValueError(f"Edwards-Walsh skeleta need n >= 2: {n!r}")
     skel = k_complex.skeleton(n)
     base = skel.chain_complex()
+    ident = {k: tuple(((j, 1),) for j in range(base.rank(k)))
+             for k in range(base.top + 1)}
     if group is Z_GROUP:
-        ident = {k: [{j: 1} for j in range(base.rank(k))]
-                 for k in range(base.top + 1)}
-        return base, chains.ChainMap.from_columns(base, base, ident)
+        return base, chains.ChainMap._make(base, base, ident)
     if not (isinstance(group, Zmod) and group.k == 1):
         raise ValueError(f"Edwards-Walsh groups are Z or Z/p: {group!r}")
-    p = group.p
     tops = k_complex.simplices(n + 1)
-    ranks = [base.rank(k) for k in range(n + 1)] + [len(tops)]
-    columns = {k: base.sparse_boundary(k) for k in range(1, n + 1)
-               if base.rank(k)}
-    attach = []
-    for s in tops:
-        col = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            col[skel.index(face)[1]] = p * (-1) ** i
-        attach.append(col)
-    columns[n + 1] = attach
-    ew = chains.ChainComplex.from_columns(ranks, columns)
-    ident = {k: [{j: 1} for j in range(base.rank(k))]
-             for k in range(base.top + 1)}
-    return ew, chains.ChainMap.from_columns(base, ew, ident)
+    ranks = tuple(base.rank(k) for k in range(n + 1)) + (len(tops),)
+    attach = tuple(_boundary_column(s, skel._index, group.p) for s in tops)
+    ew = chains.ChainComplex._make(ranks, {**base._cols, n + 1: attach})
+    return ew, chains.ChainMap._make(base, ew, ident)
 
 
 # -- homology adapters -------------------------------------------------------

@@ -338,6 +338,30 @@ class TestCanonicalForm:
         assert CdType.__slots__ == ("S", "D", "d")
 
 
+# What a repr may name: the constructors and the infinite level.
+REPR_NAMES = {"CdType": CdType, "PrimeSet": PrimeSet, "PrimeFn": PrimeFn,
+              "inf": INF}
+
+
+class TestRepr:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(POOL), st.sampled_from(POOL),
+           st.sampled_from(FAMILIES))
+    def test_repr_evaluates_back(self, f, g, fam):
+        for t in [f, g, nat(1), *_results(f, g, fam)]:
+            back = eval(repr(t), REPR_NAMES)
+            assert back == t, repr(t)
+            assert (back is ZERO_TYPE) == (t is ZERO_TYPE), repr(t)
+
+    def test_zero_type_repr_builds_the_zero_type(self):
+        text = repr(ZERO_TYPE)
+        assert text == ("CdType.triple(PrimeSet.of(), PrimeSet.of(), "
+                        "PrimeFn(at_zero=0, default=0))")
+        assert eval(text, REPR_NAMES) is ZERO_TYPE
+        for t in (nat(INF), phi_basis(Basis.zp(2), INF), nat(2).conjugate()):
+            assert eval(repr(t), REPR_NAMES) == t
+
+
 def _members_max(kind, n, primes):
     return reduce(BocksteinFn.max_with,
                   [phi_basis(Basis(kind, p), n).to_phi() for p in primes])

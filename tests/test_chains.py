@@ -11,6 +11,7 @@ from bockstein.chains import (
     quotient_complex, snf,
 )
 from bockstein.chains import _int_inverse, _sparse_invariants
+from bockstein.chains import _invariant_factors
 from bockstein.simplicial import SimplicialComplex, pontryagin_stage
 from bockstein.groups import Q, Z, Zmod, ZpInf
 
@@ -335,6 +336,56 @@ class TestJoin:
         assert rep[4] == GroupReport(0, (2, 2), Zmod(2))
         assert rep[5] == GroupReport(0, (2,), Zmod(2))
         assert rep[2].is_zero
+
+
+class TestInvariantFactors:
+    @given(st.lists(st.one_of(st.integers(min_value=1, max_value=60),
+                              st.sampled_from([2 ** 61 - 1, 10 ** 24 + 7,
+                                               2 * (2 ** 61 - 1)])),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_snf_of_the_diagonal(self, orders):
+        diag = [[n if i == j else 0 for j in range(len(orders))]
+                for i, n in enumerate(orders)]
+        want = tuple(d for d in snf(diag)[0] if d > 1)
+        assert _invariant_factors(orders) == want
+
+    def test_huge_prime_orders(self):
+        big = 10 ** 24 + 7
+        assert _invariant_factors([big, big, 2]) == (big, 2 * big)
+        assert GroupReport(0, (2 ** 61 - 1,), Z).render() == (
+            f"Z/{2 ** 61 - 1}")
+
+
+class TestSparseConstructors:
+    """The public sparse edges refuse what the dense ones refuse."""
+
+    @pytest.mark.parametrize("ranks, columns, message", [
+        ([1, 1, 1], {1: [{0: 1}], 2: [{0: 1}]},
+         "boundary squared is nonzero at degree 2, column 0"),
+        ([1, 1], {1: [{1: 1}]}, "row index 1 out of range in boundary 1"),
+        ([1, 1], {1: [{0: 1}, {0: 1}]}, "boundary 1 needs 1 columns"),
+        ([1, 1], {2: []}, "boundary degree 2 out of range"),
+        ([1, 1], {0: [{}]}, "boundary degree 0 out of range"),
+    ])
+    def test_complex_refusals(self, ranks, columns, message):
+        with pytest.raises(ValueError, match=message):
+            ChainComplex.from_columns(ranks, columns)
+
+    def test_map_refusals(self):
+        m = moore_space(2)
+        with pytest.raises(ValueError,
+                           match="chain map does not commute in degree 2"):
+            ChainMap.from_columns(m, m, {0: [{0: 1}], 2: [{0: 1}]})
+        with pytest.raises(ValueError, match="degree 1 needs 1 columns"):
+            ChainMap.from_columns(m, m, {1: []})
+
+    def test_accepts_what_it_checks(self):
+        c = ChainComplex.from_columns([3, 1], {1: [{2: 0, 1: 1, 0: -1}]})
+        assert c._cols == {1: (((0, -1), (1, 1)),)}
+        m = moore_space(2)
+        ident = ChainMap.from_columns(m, m, {k: [{0: 1}] for k in (0, 1, 2)})
+        assert induced_map(ident, 0).matrix == ((1,),)
 
 
 class TestQuotient:

@@ -42,6 +42,9 @@ GOLDEN_CASES = {
 }
 
 
+BIG_PRIME = 10 ** 24 + 7
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -215,6 +218,20 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.rstrip("\n").endswith("pass")
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("argv, degrees", [
+        (["verify", "ew", "--p", str(BIG_PRIME), "--n", "2"], ("H_2(EW; Z)",)),
+        (["verify", "join", "--p", str(BIG_PRIME), "--q", str(BIG_PRIME)],
+         ("H~_3", "H~_4")),
+    ])
+    def test_huge_prime_orders_finish(self, capsys, argv, degrees):
+        # Canonical group orders are merged by gcd/lcm, never factored.
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        z = f"Z/{BIG_PRIME}"
+        for degree in degrees:
+            assert f"  {degree}: {z} (expected {z})  ok\n" in out
+        assert out.endswith("pass\n")
 
     def test_unknown_target_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

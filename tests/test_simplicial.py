@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bockstein.chains import GroupReport
+from bockstein.chains import ChainComplex, ChainMap, quotient_complex
 from bockstein.groups import Q, Z, Zmod, ZpInf
 from bockstein.simplicial import (
     SimplicialComplex, SimplicialMap, boundary_simplex, circle,
@@ -86,6 +88,11 @@ class TestMaps:
         text = map_to_text(f)
         g = map_from_text(text, f.source, f.target)
         assert g.vertex_map == f.vertex_map
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
 
 
 class TestMappingCylinder:
@@ -177,6 +184,16 @@ class TestMappingCylinder:
                 for v in cyl.target.vertices()}
         assert comp == {v: v for v in cyl.target.vertices()}
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_integral_maps_on_bases_with_zero_entries(self, p):
+        # The homology bases here have zero coordinates, which the
+        # sparse image of a basis chain must skip.
+        cyl = mapping_cylinder(degree_map_circle(p))
+        r, j, i = (induced(f, 1).matrix for f in (
+            cyl.retraction, cyl.target_inclusion, cyl.domain_inclusion))
+        assert mat_mul(r, j) == ((1,),)
+        assert mat_mul(r, i) in (((p,),), ((-p,),))
+
     def test_collapse_is_mod_p_iso_on_pairs(self):
         for p in (2, 3):
             cyl = mapping_cylinder(degree_map_circle(p))
@@ -267,3 +284,92 @@ class TestEdwardsWalsh:
             ew_skeleton(full_simplex(3), Zmod(2, 2), 2)
         with pytest.raises(ValueError):
             ew_skeleton(full_simplex(3), Q, 2)
+
+
+# -- the trusted path --------------------------------------------------------
+
+def frozen_as_dicts(cols):
+    return {k: [dict(col) for col in c] for k, c in cols.items()}
+
+
+def assert_trusted_complex(c):
+    """c, built without checks, equals its public rebuild field for
+    field, and the rebuild passes every check of the public edge."""
+    rebuilt = ChainComplex.from_columns(c.ranks, frozen_as_dicts(c._cols))
+    assert (c.ranks, c._cols) == (rebuilt.ranks, rebuilt._cols)
+
+
+def assert_trusted_map(cm):
+    assert_trusted_complex(cm.source)
+    assert_trusted_complex(cm.target)
+    rebuilt = ChainMap.from_columns(cm.source, cm.target,
+                                    frozen_as_dicts(cm._cols))
+    assert cm._cols == rebuilt._cols
+
+
+def assert_trusted_pair(x, sub):
+    assert_trusted_complex(x.chain_complex())
+    assert_trusted_complex(quotient_complex(x.chain_complex(),
+                                            x.indices_of(sub))[0])
+
+
+simplex_faces = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sets(st.integers(0, n), min_size=1), min_size=1,
+                 max_size=6),
+        st.sets(st.integers(0, n))))
+
+
+class TestTrustedPath:
+    @given(simplex_faces)
+    @settings(max_examples=100, deadline=None)
+    def test_random_subcomplexes_and_pairs(self, draw):
+        _, faces, keep = draw
+        x = SimplicialComplex(faces)
+        assert_trusted_pair(x, x.full_subcomplex(keep.__contains__))
+
+    @given(simplex_faces, st.integers(min_value=0, max_value=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_random_simplicial_maps_and_pairs(self, draw, m, rng):
+        _, faces, keep = draw
+        x = SimplicialComplex(faces)
+        y = full_simplex(m)
+        f = SimplicialMap(x, y, {v: rng.randint(0, m) for v in x.vertices()})
+        assert_trusted_map(f.chain_map())
+        # Any subcomplex of x maps into its image's full subcomplex.
+        a = x.full_subcomplex(keep.__contains__)
+        image = {f.vertex_map[v] for v in a.vertices()}
+        if image:
+            b = y.full_subcomplex(image.__contains__)
+            assert_trusted_map(f.chain_map().quotient(
+                x.indices_of(a), y.indices_of(b)))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cylinders_and_the_xi_collapse(self, p):
+        cyl = mapping_cylinder(degree_map_circle(p))
+        assert_trusted_pair(cyl.complex, cyl.domain)
+        for f in (cyl.map, cyl.retraction, cyl.domain_inclusion,
+                  cyl.target_inclusion):
+            assert_trusted_map(f.chain_map())
+        cone, xi, base = cyl.collapse()
+        assert_trusted_map(xi.chain_map())
+        assert_trusted_map(xi.chain_map().quotient(
+            cyl.complex.indices_of(cyl.domain), cone.indices_of(base)))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_pontryagin_stages_and_bondings(self, p):
+        stages, bondings = pontryagin_stage(p, 1)
+        for x in stages:
+            assert_trusted_complex(x.chain_complex())
+        for q in bondings:
+            assert_trusted_map(q.chain_map())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("group", [Z, Zmod(2), Zmod(3)])
+    def test_edwards_walsh_skeleta(self, n, group):
+        for model in (full_simplex(n + 1), boundary_simplex(n + 2)):
+            ew, inclusion = ew_skeleton(model, group, n)
+            assert_trusted_complex(ew)
+            assert_trusted_map(inclusion)
