@@ -10,9 +10,11 @@ universal coefficients.  Integral induced maps use the dense form with
 its unimodular transforms.  The field route (Q and Z/p) is one sparse
 column reducer over a field given by p: None for Q, else the prime.
 Kept columns are scaled so each pivot is 1, so its elimination loop
-never divides.  It supplies Betti numbers, homology bases and induced
-maps, and stays exact and fast on complexes far too large for dense
-elimination.
+never divides.  It clears (Chen & Kerber's twist): each pivot row of
+d_{k+1} names a column of d_k that would reduce to zero, and the
+reduction of d_k skips it.  It supplies Betti numbers, homology bases
+and induced maps, and stays exact and fast on complexes far too large
+for dense elimination.
 
 Boundary and chain-map matrices are stored as frozen sparse columns:
 tuples of (row, value) pairs, rows ascending, zeros dropped.  Chain
@@ -622,12 +624,13 @@ class HomologyReport:
         return f"HomologyReport({body!r})"
 
 
-def _p_part(t, p):
-    out = 1
+def _valuation(t, p):
+    """The exponent of the prime p in the positive int t."""
+    v = 0
     while t % p == 0:
-        out *= p
+        v += 1
         t //= p
-    return out
+    return v
 
 
 def _check_coeff(coeff):
@@ -649,14 +652,17 @@ def _convert(pair, below, coeff, dual):
     if coeff is Q_GROUP:
         return GroupReport(beta, (), coeff)
     if isinstance(coeff, Zmod):
-        m = coeff.p ** coeff.k
-        orders = [m] * beta
-        orders.extend(gcd(t, m) for t in tors)
-        orders.extend(gcd(t, m) for t in tors_below)
+        # gcd(t, p^k) is p^min(v_p(t), k); p^k itself, which can have
+        # millions of digits, is built only for a free summand.
+        p, k = coeff.p, coeff.k
+        orders = [p ** k] * beta if beta else []
+        orders.extend(p ** min(_valuation(t, p), k)
+                      for t in (*tors, *tors_below))
         return GroupReport(0, orders, coeff)
     # Divisible coefficients kill the tensor torsion and, being
     # injective, Ext; Tor and Hom keep p-parts.
-    orders = [_p_part(t, coeff.p) for t in (tors if dual else tors_below)]
+    p = coeff.p
+    orders = [p ** _valuation(t, p) for t in (tors if dual else tors_below)]
     return GroupReport(beta, orders, coeff)
 
 
@@ -787,25 +793,37 @@ def _rank(vecs, p):
     return sum(reducer.add(vec, {}) for vec in vecs)
 
 
-def _kernel(c: ChainComplex, k, p):
-    """Basis of the k-cycles by left-to-right column reduction."""
+def _boundary_reducer(c: ChainComplex, k, p, cleared=(), kernel=None):
+    """The columns of d_k reduced left to right, skipping those whose
+    index is in cleared.
+
+    This is clearing (Chen and Kerber's twist).  A pivot row i of the
+    reduced d_{k+1} leads a k-cycle sigma_i + (earlier cells), so column
+    i of d_k is a combination of earlier columns and would reduce to
+    zero: given the kept keys of degree k + 1 as cleared, the reducer
+    keeps the same columns as without them.  When kernel is a list,
+    each column carries the combination of original columns it came
+    from, and those that reduce to zero are appended to kernel: with
+    the image of d_{k+1} they span the k-cycles."""
     reducer = _Reducer(p)
-    kernel = []
+    track = kernel is not None
     for j, col in enumerate(c._columns(k)):
-        combo = {j: 1}
-        if not reducer.add(_field_vector(col, p), combo):
+        if j in cleared:
+            continue
+        combo = {j: 1} if track else {}
+        if not reducer.add(_field_vector(col, p), combo) and track:
             kernel.append(combo)
-    return kernel
+    return reducer
 
 
 def _field_basis(c: ChainComplex, k, p):
     """Representative cycles of a basis of H_k(c; field), and the
     reducer that writes any other k-cycle in their coordinates."""
-    space = _Reducer(p)
-    for col in c._cols.get(k + 1, ()):
-        space.add(_field_vector(col, p), {})
+    space = _boundary_reducer(c, k + 1, p)
+    kernel = []
+    _boundary_reducer(c, k, p, space.kept, kernel)
     reps = []
-    for cycle in _kernel(c, k, p):
+    for cycle in kernel:
         if space.add(dict(cycle), {len(reps): 1}):
             reps.append(cycle)
     return space, reps
@@ -813,11 +831,16 @@ def _field_basis(c: ChainComplex, k, p):
 
 def field_betti(c: ChainComplex, coeff):
     """Field Betti numbers by direct rank computation, independent of
-    the Smith-normal-form route."""
+    the Smith-normal-form route.  The degrees run from the top down so
+    that each clears the columns the one above has shown to vanish."""
     p = _field_prime(coeff)
-    ranks = [0] + [_rank((_field_vector(col, p)
-                          for col in c._cols.get(k, ())), p)
-                   for k in range(1, c.top + 1)] + [0]
+    ranks = [0] * (c.top + 2)
+    cleared = ()
+    for k in range(c.top, 0, -1):
+        # Only the pivot rows are kept, so each reducer is freed before
+        # the next degree's is filled.
+        cleared = set(_boundary_reducer(c, k, p, cleared).kept)
+        ranks[k] = len(cleared)
     return [c.rank(k) - ranks[k] - ranks[k + 1] for k in range(c.top + 1)]
 
 

@@ -659,10 +659,10 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~5.5 s (stages 1 at p = 829,
-# 99 526 cells) and ~3.7 s (stages 2 at p = 7, 72 574 cells) as CLI
+# and Q.  Its largest admitted runs take ~3.7 s (stages 1 at p = 829,
+# 99 526 cells) and ~1.7 s (stages 2 at p = 7, 72 574 cells) as CLI
 # processes.  Refused runs would still finish: stages 1 at p = 997
-# (119 686 cells) takes ~6.7 s, stages 2 at p = 11 (175 294 cells) ~8.4 s.
+# (119 686 cells) takes ~5.0 s, stages 2 at p = 11 (175 294 cells) ~5.4 s.
 _MAX_PONTRYAGIN_CELLS = 100_000
 
 

@@ -13,17 +13,21 @@ value, such as inf - inf or inf times a negative, raise
 UndefinedArithmetic instead of silently producing something.
 
 Primality (check_prime) is decided by the standard library alone:
-trial division by the primes up to 41, then Miller-Rabin to the
-thirteen prime bases 2..41, which is deterministic below
-3317044064679887385961981 (Sorenson & Webster, "Strong pseudoprimes to
-twelve prime bases", Math. Comp. 86 (2017)); above that bound, the
-strong Baillie-PSW test (Baillie & Wagstaff, "Lucas pseudoprimes",
-Math. Comp. 35 (1980)): Miller-Rabin to base 2 plus a strong Lucas test
-with Selfridge's parameters.  No composite passing BPSW is known.
+trial division by the primes up to 41, then Miller-Rabin to the first
+k of the thirteen prime bases 2..41, where psi_k, the least strong
+pseudoprime to those k bases, exceeds n (Jaeschke, Math. Comp. 61
+(1993); Jiang & Deng, Math. Comp. 83 (2014)).  With all thirteen this
+is deterministic below psi_13 = 3317044064679887385961981 (Sorenson &
+Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
+(2017)); above that bound, the strong Baillie-PSW test (Baillie &
+Wagstaff, "Lucas pseudoprimes", Math. Comp. 35 (1980)): Miller-Rabin
+to base 2 plus a strong Lucas test with Selfridge's parameters.  No
+composite passing BPSW is known.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
 
 __all__ = [
@@ -164,6 +168,12 @@ def value_from_json(obj):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The least strong pseudoprime to every base in _MR_BASES.
 _MR_BOUND = 3317044064679887385961981
+# psi_k, the least strong pseudoprime to the first k bases, k = 1 .. 13:
+# below psi_k those k bases decide primality.
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, _MR_BOUND)
 
 
 def _strong_prp(n, a):
@@ -243,7 +253,8 @@ def _isprime(n):
     if n < 43 * 43:
         return True
     if n < _MR_BOUND:
-        return all(_strong_prp(n, a) for a in _MR_BASES)
+        k = bisect_right(_MR_PSI, n) + 1
+        return all(_strong_prp(n, a) for a in _MR_BASES[:k])
     return _strong_prp(n, 2) and _strong_lucas_prp(n)
 
 

@@ -84,8 +84,19 @@ class SimplicialComplex:
                 raise ValueError("the empty simplex is not allowed")
             for k in range(1, len(t) + 1):
                 seen.update(combinations(t, k))
+        self._install(seen)
+
+    @classmethod
+    def _make(cls, closed):
+        """Trusted constructor: closed is a set of sorted, nondegenerate
+        simplices, closed under faces.  Nothing is checked or closed."""
+        x = cls.__new__(cls)
+        x._install(closed)
+        return x
+
+    def _install(self, closed):
         by_dim = {}
-        for s in seen:
+        for s in closed:
             by_dim.setdefault(len(s) - 1, []).append(s)
         self._by_dim = {k: tuple(sorted(v)) for k, v in by_dim.items()}
         self._index = {}
@@ -196,6 +207,17 @@ class SimplicialMap:
             if not target.has(set(self.vertex_map[v] for v in s)):
                 raise ValueError(
                     f"image of {s!r} is not a simplex of the target")
+
+    @classmethod
+    def _make(cls, source, target, vertex_map):
+        """Trusted constructor: vertex_map is a dict defined on every
+        source vertex and carrying simplices to simplices.  Nothing is
+        checked."""
+        f = cls.__new__(cls)
+        f.source = source
+        f.target = target
+        f.vertex_map = vertex_map
+        return f
 
     def image(self, simplex):
         return tuple(sorted(set(self.vertex_map[v] for v in simplex)))
@@ -369,28 +391,29 @@ def _replace_triangles(l: SimplicialComplex, p):
     a copy of the mapping cylinder of the p-fold circle covering, glued
     along the subdivided boundary.  Returns (next stage, cone
     retriangulation of l, bonding map).
+
+    Both complexes are collected closed under faces, each simplex
+    sorted, and built by the trusted constructors.
     """
     cyl = mapping_cylinder(degree_map_circle(p, 3))
     local = list(cyl.complex.all_simplices())
     interiors = [v for v in cyl.complex.vertices() if v[0] == "L"]
     n = 3 * p
-    simplices = []
-    cone_simplices = []
-    bonding = {}
-    for (v,) in l.simplices(0):
-        ov = ("o", v)
-        simplices.append((ov,))
-        cone_simplices.append((ov,))
-        bonding[ov] = ov
+    # The subdivided 1-skeleton of l is shared by both complexes; the
+    # bonding map fixes its vertices.
+    bonding = {("o", v): ("o", v) for (v,) in l.simplices(0)}
+    shared = set()
     for (u, v) in l.simplices(1):
         path = [("o", u)]
         path.extend(("e", u, v, i) for i in range(1, 2 * p))
         path.append(("o", v))
-        for x, y in zip(path, path[1:]):
-            simplices.append((x, y))
-            cone_simplices.append((x, y))
+        shared.update((x, y) if x < y else (y, x)
+                      for x, y in zip(path, path[1:]))
         for x in path[1:-1]:
             bonding[x] = x
+    shared.update((x,) for x in bonding)
+    simplices = set(shared)
+    cone_simplices = set(shared)
     for tri in l.simplices(2):
         cyc = _subdivided_cycle(tri, p)
         relabel = {}
@@ -401,16 +424,20 @@ def _replace_triangles(l: SimplicialComplex, p):
             relabel[("K", edge)] = cyc[2 * i + 1]
         for w in interiors:
             relabel[w] = ("c",) + tri + w[1]
-        for s in local:
-            simplices.append(tuple(relabel[v] for v in s))
+        simplices.update(tuple(sorted([relabel[v] for v in s]))
+                         for s in local)
+        # The apex label sorts before every label of the cycle.
         apex = ("a",) + tri
+        cone_simplices.add((apex,))
         for m in range(6 * p):
-            cone_simplices.append((apex, cyc[m], cyc[(m + 1) % (6 * p)]))
+            x, y = cyc[m], cyc[(m + 1) % (6 * p)]
+            cone_simplices.add((apex, x))
+            cone_simplices.add((apex, x, y) if x < y else (apex, y, x))
         for w in interiors:
             bonding[relabel[w]] = apex
-    nxt = SimplicialComplex(simplices)
-    cone = SimplicialComplex(cone_simplices)
-    return nxt, cone, SimplicialMap(nxt, cone, bonding)
+    nxt = SimplicialComplex._make(simplices)
+    cone = SimplicialComplex._make(cone_simplices)
+    return nxt, cone, SimplicialMap._make(nxt, cone, bonding)
 
 
 def pontryagin_stage(p, k):

@@ -233,6 +233,16 @@ class TestVerify:
             assert f"  {degree}: {z} (expected {z})  ok\n" in out
         assert out.endswith("pass\n")
 
+    def test_huge_prime_power_coefficients_finish(self, capsys):
+        # Orders over Z/p^k are p^min(v_p(t), k): p^k, with millions of
+        # digits here, is never built when no free summand needs it.
+        code, out, err = run(capsys, ["verify", "mp-pair", "--p", "3",
+                                      "--coeff", "Z/3^10000000"])
+        assert (code, err) == (0, "")
+        assert ("  H^2(M_p, dM_p; Z/3^10000000): Z/3 (expected Z/3)  ok\n"
+                in out)
+        assert out.endswith("pass\n")
+
     def test_unknown_target_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nothing"])

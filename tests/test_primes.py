@@ -9,7 +9,7 @@ from bockstein.primes import (
     check_prime, indicator, is_finite, select, value_from_json, value_to_json,
 )
 from bockstein.primes import (
-    _MR_BOUND, _isprime, _strong_lucas_prp, _strong_prp,
+    _MR_BASES, _MR_BOUND, _MR_PSI, _isprime, _strong_lucas_prp, _strong_prp,
 )
 
 
@@ -134,6 +134,29 @@ class TestPrimalityAgainstSympy:
 
     def test_small_primes_literal(self):
         assert _SMALL_PRIMES == tuple(sympy.primerange(2, 101))
+
+
+class TestMillerRabinRanges:
+    """_isprime uses the first k bases below psi_k, the least strong
+    pseudoprime to them."""
+
+    def test_table(self):
+        assert len(_MR_PSI) == len(_MR_BASES)
+        assert list(_MR_PSI) == sorted(_MR_PSI)
+        assert _MR_PSI[-1] == _MR_BOUND
+
+    def test_each_psi_fools_its_bases_only(self):
+        # psi_k passes its first k bases, so n = psi_k itself must be
+        # tested with more of them (psi_k = psi_{k+1} for k = 7, 9, 10).
+        for k, psi in enumerate(_MR_PSI, start=1):
+            assert all(_strong_prp(psi, a) for a in _MR_BASES[:k]), k
+            assert not sympy.isprime(psi)
+            assert not _isprime(psi), k
+
+    def test_around_each_bound(self):
+        for psi in _MR_PSI:
+            for m in range(psi - 300, psi + 300):
+                assert _isprime(m) == sympy.isprime(m), m
 
 
 class TestPrimeSet:

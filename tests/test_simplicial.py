@@ -366,6 +366,19 @@ class TestTrustedPath:
         for q in bondings:
             assert_trusted_map(q.chain_map())
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_trusted_stages_match_public_rebuild(self, p, k):
+        # Stages, cones and bondings are built by the trusted _make
+        # constructors; the public ones must build and accept the same.
+        stages, bondings = pontryagin_stage(p, k)
+        for x in stages + [q.target for q in bondings]:
+            rebuilt = SimplicialComplex(list(x.all_simplices()))
+            assert x == rebuilt
+            assert x._index == rebuilt._index
+        for q in bondings:
+            SimplicialMap(q.source, q.target, q.vertex_map)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("group", [Z, Zmod(2), Zmod(3)])
     def test_edwards_walsh_skeleta(self, n, group):
