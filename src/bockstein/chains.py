@@ -2,19 +2,22 @@
 
 Two independent routes compute homology.  The integral route needs
 only the invariant factors of each boundary: it eliminates the +-1
-pivots of the sparse columns one by one, each a factor 1, and hands the
-core left over (a single column on the Pontryagin stages, cylinders and
-skeleta) to a hand-rolled dense Smith normal form.  Z/p^k (k > 1) and
-the Pruefer group Z(p^inf) are derived from its answer through
-universal coefficients.  Integral induced maps use the dense form with
-its unimodular transforms.  The field route (Q and Z/p) is one sparse
-column reducer over a field given by p: None for Q, else the prime.
-Kept columns are scaled so each pivot is 1, so its elimination loop
-never divides.  It clears (Chen & Kerber's twist): each pivot row of
-d_{k+1} names a column of d_k that would reduce to zero, and the
-reduction of d_k skips it.  It supplies Betti numbers, homology bases
-and induced maps, and stays exact and fast on complexes far too large
-for dense elimination.
+pivots of the sparse columns one by one, each a factor 1.  The core
+left over is a single column on the Pontryagin stages, cylinders and
+skeleta, and gives the gcd of its entries; a wider core goes to a
+hand-rolled dense Smith normal form.  Both routes clear (Chen &
+Kerber's twist): they run from the top degree down, and each pivot row
+of d_{k+1} names a column of d_k that the reduction of d_k skips.  Over
+a field that column would reduce to zero; over Z it is an integer
+combination of the columns kept, so the image lattice does not change.
+Z/p^k (k > 1) and the Pruefer group Z(p^inf) are derived from the
+integral answer through universal coefficients.  Integral induced maps
+use the dense form with its unimodular transforms.  The field route (Q
+and Z/p) is one sparse column reducer over a field given by p: None for
+Q, else the prime.  Kept columns are scaled so each pivot is 1, so its
+elimination loop never divides.  It supplies Betti numbers, homology
+bases and induced maps, and stays exact and fast on complexes far too
+large for dense elimination.
 
 Boundary and chain-map matrices are stored as frozen sparse columns:
 tuples of (row, value) pairs, rows ascending, zeros dropped.  Chain
@@ -442,7 +445,7 @@ class ChainMap:
 
 # -- integral homology and coefficient conversion ----------------------------
 
-def _sparse_invariants(columns):
+def _sparse_invariants(columns, cleared=(), pivots=None):
     """The invariant factors snf lists for a matrix given by sparse
     columns of (row, value) pairs, without its transforms.
 
@@ -454,9 +457,16 @@ def _sparse_invariants(columns):
     from the sparsest column first, in the row shared by the fewest
     columns.  The core left when no column holds a unit (a single
     column on Pontryagin stages, mapping cylinders and Edwards-Walsh
-    skeleta) goes to the dense Smith normal form.
+    skeleta) needs no transforms: one column gives the gcd of its
+    entries, a wider core goes to the dense Smith normal form.
+
+    The columns whose index is in cleared are skipped, and when pivots
+    is a set, the row of every unit pivot is added to it.  Given the
+    pivot rows of d_{k+1} as cleared, the columns of d_k keep their
+    image lattice, so the factors do not change (see integral_homology).
     """
-    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    cols = {j: dict(col) for j, col in enumerate(columns)
+            if col and j not in cleared}
     where = {}
     for j, col in cols.items():
         for i in col:
@@ -471,10 +481,10 @@ def _sparse_invariants(columns):
         col = cols.get(j)
         if col is None or len(col) != size:
             continue
-        pivots = [i for i, v in col.items() if v == 1 or v == -1]
-        if not pivots:
+        candidates = [i for i, v in col.items() if v == 1 or v == -1]
+        if not candidates:
             continue
-        i = min(pivots, key=lambda r: len(where[r]))
+        i = min(candidates, key=lambda r: len(where[r]))
         del cols[j]
         for r in col:
             where[r].discard(j)
@@ -495,7 +505,11 @@ def _sparse_invariants(columns):
                 heappush(heap, (len(other), j2))
             else:
                 del cols[j2]
+        if pivots is not None:
+            pivots.add(i)
         units += 1
+    if len(cols) <= 1:
+        return [1] * units + [gcd(*col.values()) for col in cols.values()]
     rows = {i: n for n, i in enumerate(sorted(
         {i for col in cols.values() for i in col}))}
     core = _dense_from_columns(
@@ -510,13 +524,28 @@ def integral_homology(c: ChainComplex):
 
     Only the invariant factors of each boundary are needed, so its
     sparse columns go through unit-pivot elimination and the small
-    leftover core through the dense Smith normal form; no transforms
-    are built.
+    leftover core through a gcd or the dense Smith normal form; no
+    transforms are built.
+
+    The degrees run from the top down, and each clears the columns the
+    one above has shown to be redundant.  A unit pivot of d_{k+1} in
+    row i is a boundary: an integer chain whose coefficient on cell i
+    is +-1, and whose other cells are non-pivot rows or rows pivoted
+    later (earlier pivot rows were cleared from it).  d_k of it is zero,
+    so column i of d_k is an integer combination of those columns, and
+    by induction from the last pivot down, of the columns that are not
+    pivot rows.  Skipping the pivot rows leaves the image lattice of
+    d_k, and so its rank and invariant factors, as they were.  Only
+    degree k + 1 clears degree k: a degree missing from c._cols (zero
+    boundary) clears nothing below it.
     """
     rank_of = {}
     torsion_of = {}
-    for k, cols in c._cols.items():
-        inv = _sparse_invariants(cols)
+    pivots = set()
+    for k in sorted(c._cols, reverse=True):
+        cleared = pivots if k + 1 in rank_of else ()
+        pivots = set()
+        inv = _sparse_invariants(c._cols[k], cleared, pivots)
         rank_of[k] = len(inv)
         torsion_of[k] = tuple(d for d in inv if d > 1)
     out = []
@@ -725,6 +754,10 @@ def _field_vector(col, p):
     return {i: w for i, v in col if (w := v % p)}
 
 
+# Vectors with more rows than this find their pivots through a heap.
+_SCAN_ROWS = 32
+
+
 class _Reducer:
     """Sparse columns with distinct pivots, kept by pivot row.
 
@@ -747,22 +780,52 @@ class _Reducer:
         coords; returns what is left of vec."""
         p = self.p
         kept = self.kept
+        # A long vec keeps its rows in a lazy max-heap, whose entries go
+        # stale when their row is cleared; a short one is scanned.  A
+        # kept column has no row past its pivot, so each step adds rows
+        # below the current one.
+        heap = None
         while vec:
-            low = max(vec)
+            if heap is None:
+                if len(vec) > _SCAN_ROWS:
+                    heap = [-i for i in vec]
+                    heapify(heap)
+                    continue
+                low = max(vec)
+            else:
+                low = -heap[0]
+                if low not in vec:
+                    heappop(heap)
+                    continue
             owner = kept.get(low)
             if owner is None:
                 break
             factor = vec[low]
-            for target, source in zip((vec, coords), owner):
-                get = target.get
-                for i, v in source.items():
-                    w = get(i, 0) - factor * v
-                    if p:
-                        w %= p
-                    if w:
-                        target[i] = w
-                    else:
-                        del target[i]
+            col, combo = owner
+            get = vec.get
+            for i, v in col.items():
+                old = get(i)
+                if old is None:
+                    if heap is not None:
+                        heappush(heap, -i)
+                    vec[i] = -factor * v % p if p else -factor * v
+                    continue
+                w = old - factor * v
+                if p:
+                    w %= p
+                if w:
+                    vec[i] = w
+                else:
+                    del vec[i]
+            get = coords.get
+            for i, v in combo.items():
+                w = get(i, 0) - factor * v
+                if p:
+                    w %= p
+                if w:
+                    coords[i] = w
+                else:
+                    del coords[i]
         return vec
 
     def add(self, vec, coords):

@@ -50,13 +50,19 @@ def _boundary_column(s, index, scale):
                  for i in range(len(s) - 1, -1, -1))
 
 
-def _perm_sign(values):
+def _order_sign(order):
+    """The sign of a permutation of range(n), by counting its cycles:
+    each cycle of length m is m - 1 transpositions."""
     sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        if not seen[start]:
+            seen[start] = True
+            j = order[start]
+            while j != start:
+                seen[j] = True
                 sign = -sign
+                j = order[j]
     return sign
 
 
@@ -88,8 +94,9 @@ class SimplicialComplex:
 
     @classmethod
     def _make(cls, closed):
-        """Trusted constructor: closed is a set of sorted, nondegenerate
-        simplices, closed under faces.  Nothing is checked or closed."""
+        """Trusted constructor: closed is a collection of distinct,
+        sorted, nondegenerate simplices, closed under faces.  Nothing is
+        checked or closed."""
         x = cls.__new__(cls)
         x._install(closed)
         return x
@@ -140,13 +147,13 @@ class SimplicialComplex:
         keep = []
         for k in range(min(n, self.dim) + 1):
             keep.extend(self.simplices(k))
-        return SimplicialComplex(keep)
+        return SimplicialComplex._make(keep)
 
     def full_subcomplex(self, keep_vertex):
         """The induced subcomplex on vertices passing the predicate."""
-        kept = [s for s in self.all_simplices()
-                if all(keep_vertex(v) for v in s)]
-        return SimplicialComplex(kept)
+        return SimplicialComplex._make(
+            [s for s in self.all_simplices()
+             if all(keep_vertex(v) for v in s)])
 
     def chain_complex(self):
         """Simplicial chains with the sorted-vertex orientation.  The
@@ -163,15 +170,18 @@ class SimplicialComplex:
         return self._chain
 
     def indices_of(self, sub):
-        """Index sets of a subcomplex, per degree, for relative work."""
+        """Index sets of a subcomplex, per degree, for relative work.
+        Both complexes list each degree in sorted order, so the indices
+        come out ascending."""
+        index = self._index
         out = {}
         for k in range(sub.dim + 1):
             idx = []
             for s in sub.simplices(k):
-                kk, n = self.index(s)
-                idx.append(n)
-                del kk
-            out[k] = tuple(sorted(idx))
+                if s not in index:
+                    raise ValueError(f"not a simplex of this complex: {s!r}")
+                idx.append(index[s][1])
+            out[k] = tuple(idx)
         return out
 
     def __eq__(self, other):
@@ -226,16 +236,26 @@ class SimplicialMap:
         """The induced map of simplicial chain complexes.  Simplices
         collapsed by the vertex map contribute zero."""
         index = self.target._index
+        vmap = self.vertex_map
+        # Sorting orders repeat from simplex to simplex: sign each once.
+        signs = {}
         columns = {}
         for k in range(self.source.dim + 1):
             cols = []
+            positions = range(k + 1)
             for s in self.source.simplices(k):
-                imgs = [self.vertex_map[v] for v in s]
-                if len(set(imgs)) != len(imgs):
+                imgs = [vmap[v] for v in s]
+                order = tuple(sorted(positions, key=imgs.__getitem__))
+                # A collapsed simplex repeats a vertex, and no simplex
+                # of the target does.
+                hit = index.get(tuple([imgs[j] for j in order]))
+                if hit is None:
                     cols.append(())
-                else:
-                    t = tuple(sorted(imgs))
-                    cols.append(((index[t][1], _perm_sign(imgs)),))
+                    continue
+                sign = signs.get(order)
+                if sign is None:
+                    sign = signs[order] = _order_sign(order)
+                cols.append(((hit[1], sign),))
             columns[k] = tuple(cols)
         return chains.ChainMap._make(self.source.chain_complex(),
                                      self.target.chain_complex(), columns)
@@ -321,25 +341,30 @@ class Cylinder:
 
         def grow(chain, x):
             chain = chain + (x,)
-            found.append(chain)
+            found.append(tuple(sorted(chain)))
             for y in succ[x]:
                 grow(chain, y)
 
         for x in elements:
             grow((), x)
-        self.complex = SimplicialComplex(found)
-        self.domain = self.complex.full_subcomplex(lambda v: v[0] == "K")
-        self.target = self.complex.full_subcomplex(lambda v: v[0] == "L")
-        ident = {v: v for v in self.domain.vertices()}
-        self.domain_inclusion = SimplicialMap(self.domain, self.complex,
-                                              ident)
-        ident = {v: v for v in self.target.vertices()}
-        self.target_inclusion = SimplicialMap(self.target, self.complex,
-                                              ident)
+        # Every chain of the poset is found once, and so is every part
+        # of it, so found is closed under faces.  K lies only below L,
+        # and "K" sorts before "L": a chain lies in the K end iff its
+        # last label does, and in the L end iff its first label does.
+        self.complex = SimplicialComplex._make(found)
+        self.domain = SimplicialComplex._make(
+            [c for c in found if c[-1][0] == "K"])
+        self.target = SimplicialComplex._make(
+            [c for c in found if c[0][0] == "L"])
+        self.domain_inclusion = SimplicialMap._make(
+            self.domain, self.complex, {v: v for v in self.domain.vertices()})
+        self.target_inclusion = SimplicialMap._make(
+            self.target, self.complex, {v: v for v in self.target.vertices()})
         retract = {}
         for v in self.complex.vertices():
             retract[v] = ("L", f.image(v[1])) if v[0] == "K" else v
-        self.retraction = SimplicialMap(self.complex, self.target, retract)
+        self.retraction = SimplicialMap._make(self.complex, self.target,
+                                              retract)
 
     def collapse(self):
         """Collapse the target end to a point: returns (cone, xi, base)

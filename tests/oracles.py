@@ -119,6 +119,20 @@ def mp_pair_integral(p):
     """H_*(M_p, boundary circle; Z) as (free rank, torsion orders)."""
     return {0: (0, ()), 1: (0, (p,)), 2: (0, ())}
 
+
+def pontryagin_integral(f_vector, p):
+    """H_0..H_2(L_{j+1}; Z) as (free rank, torsion orders), in closed
+    form from the f-vector of the stage L_j before it (j >= 1).
+
+    Each triangle of L_j becomes a cylinder of the p-fold circle
+    covering, glued along its subdivided boundary, so beta_1 is the
+    cycle rank f_1 - f_0 + 1 of L_j's 1-skeleton, and the relations
+    leave one Z/p.
+    """
+    f0, f1 = f_vector[0], f_vector[1]
+    return [(1, ()), (f1 - f0 + 1, (p,)), (0, ())]
+
+
 # Reduced homology of M(Z/a,1) * M(Z/b,1) in degrees 0..5 as a function
 # of g = gcd(a, b).
 def join_expect(g):

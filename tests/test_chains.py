@@ -590,6 +590,100 @@ class TestClearing:
                     simplicial.ew_skeleton(model, group, n)[0])
 
 
+# -- clearing on the integral route ------------------------------------------
+
+def uncleared_integral(c):
+    """integral_homology without clearing: the invariant factors of each
+    boundary on their own."""
+    inv = {k: _sparse_invariants(cols) for k, cols in c._cols.items()}
+    return [(c.rank(k) - len(inv.get(k, ())) - len(inv.get(k + 1, ())),
+             tuple(d for d in inv.get(k + 1, ()) if d > 1))
+            for k in range(c.top + 1)]
+
+
+def assert_integral_uncleared(c):
+    got = integral_homology(c)
+    assert got == uncleared_integral(c), c
+    assert [(beta, tuple(sorted(tors))) for beta, tors in got] == \
+        integral_homology_oracle(c.ranks, dense_boundaries(c)), c
+
+
+def direct_sum(*complexes):
+    """The chain complex of a disjoint union: block-diagonal boundaries."""
+    top = max(c.top for c in complexes)
+    ranks = [sum(c.rank(k) for c in complexes) for k in range(top + 1)]
+    columns = {k: [] for k in range(1, top + 1)}
+    offset = [0] * (top + 1)
+    for c in complexes:
+        for k in range(1, top + 1):
+            columns[k].extend({offset[k - 1] + i: v for i, v in col.items()}
+                              for col in c.sparse_boundary(k))
+        offset = [o + c.rank(k) for k, o in enumerate(offset)]
+    return ChainComplex.from_columns(ranks, columns)
+
+
+moore_sums = st.lists(moore_spaces, min_size=1, max_size=3).map(
+    lambda spaces: direct_sum(*spaces))
+integral_families = st.one_of(
+    simplex_pairs().map(lambda pair: pair[0].chain_complex()),
+    simplex_pairs().map(lambda pair: quotient_complex(
+        pair[0].chain_complex(), pair[0].indices_of(pair[1]))[0]),
+    moore_sums,
+    small_complexes)
+
+# d_2 is zero, so _make drops degree 2: d_3's pivot rows index C_2 and
+# must not clear the columns of d_1, which index C_1.
+MISSING_DEGREE = ChainComplex([1, 1, 1, 1], {1: [[1]], 3: [[1]]})
+
+
+class TestIntegralClearing:
+    @given(integral_families)
+    @example(c=MISSING_DEGREE)
+    @example(c=direct_sum(moore_space(2), moore_space(2)))
+    @example(c=WRONG_CLEARING_SHOWS[0].chain_complex())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_uncleared_and_sympy(self, c):
+        assert_integral_uncleared(c)
+
+    def test_missing_degree_clears_nothing(self):
+        assert integral_homology(MISSING_DEGREE) == [
+            (0, ()), (0, ()), (0, ()), (0, ())]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cylinder_pairs(self, p):
+        cyl = simplicial.mapping_cylinder(simplicial.degree_map_circle(p))
+        x = cyl.complex.chain_complex()
+        assert_integral_uncleared(x)
+        assert_integral_uncleared(
+            quotient_complex(x, cyl.complex.indices_of(cyl.domain))[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("group", [Z, Zmod(2), Zmod(3)])
+    def test_edwards_walsh_skeleta(self, n, group):
+        for model in (simplicial.full_simplex(n + 1),
+                      simplicial.boundary_simplex(n + 2)):
+            assert_integral_uncleared(
+                simplicial.ew_skeleton(model, group, n)[0])
+
+    def test_pontryagin_stages_match_uncleared(self):
+        for p in (2, 3, 5):
+            stage = pontryagin_stage(p, 1)[0][-1].chain_complex()
+            assert integral_homology(stage) == uncleared_integral(stage), p
+
+    def test_wide_core_keeps_every_factor(self):
+        # Two unit-free columns: a gcd would merge their factors.
+        assert _sparse_invariants([((0, 2),), ((1, 2),)]) == [2, 2]
+        assert _sparse_invariants([((0, 2), (1, 4)), ((0, 6),)]) == [2, 12]
+        assert _sparse_invariants([((0, -4), (2, 6))]) == [2]
+
+    def test_reports_unit_pivot_rows(self):
+        pivots = set()
+        inv = _sparse_invariants([((0, 1), (1, -1)), ((1, 2),), ((2, 3),)],
+                                 cleared={2}, pivots=pivots)
+        assert inv == [1, 2]
+        assert len(pivots) == 1 and pivots <= {0, 1}
+
+
 @st.composite
 def prime_power_data(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))

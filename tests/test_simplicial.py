@@ -15,7 +15,7 @@ from bockstein.simplicial import (
 )
 from bockstein.chains import induced_map as chain_induced
 
-from oracles import mp_pair_integral
+from oracles import mp_pair_integral, pontryagin_integral
 
 
 def pairs(report, degrees):
@@ -57,6 +57,8 @@ class TestBuilders:
         assert pairs(rep, range(3)) == {0: (0, ()), 1: (0, ()), 2: (1, ())}
         co = cohomology_of(disk, Z, relative_to=sphere)
         assert co[2] == GroupReport(1, (), Z)
+        with pytest.raises(ValueError, match="not a simplex of this complex"):
+            sphere.indices_of(disk)
 
 
 class TestMaps:
@@ -248,6 +250,14 @@ class TestPontryaginStages:
                           for k in range(l.dim + 1))
                 assert chi == l.euler(), (p, l)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_integral_homology_closed_form(self, p):
+        stages, _ = pontryagin_stage(p, 2)
+        for before, stage in zip(stages, stages[1:]):
+            want = pontryagin_integral(before.f_vector(), p)
+            assert pairs(homology_of(stage), range(3)) == dict(
+                enumerate(want)), (p, stage)
+
     def test_mod_p_h2_survives(self):
         stages, _ = pontryagin_stage(2, 2)
         for l in stages[1:]:
@@ -321,13 +331,38 @@ simplex_faces = st.integers(min_value=1, max_value=4).flatmap(
         st.sets(st.integers(0, n))))
 
 
+def assert_public_rebuild(x):
+    rebuilt = SimplicialComplex(list(x.all_simplices()))
+    assert x == rebuilt
+    assert x._index == rebuilt._index
+
+
+def assert_trusted_cylinder(cyl):
+    """The trusted cylinder equals its public rebuild, ends included,
+    and the public map constructor accepts its three maps."""
+    assert_public_rebuild(cyl.complex)
+    simplices = list(cyl.complex.all_simplices())
+    for end, side in ((cyl.domain, "K"), (cyl.target, "L")):
+        rebuilt = SimplicialComplex(
+            [s for s in simplices if all(v[0] == side for v in s)])
+        assert end == rebuilt
+        assert end._index == rebuilt._index
+    for f in (cyl.domain_inclusion, cyl.target_inclusion, cyl.retraction):
+        SimplicialMap(f.source, f.target, f.vertex_map)
+        assert_trusted_map(f.chain_map())
+
+
 class TestTrustedPath:
     @given(simplex_faces)
     @settings(max_examples=100, deadline=None)
     def test_random_subcomplexes_and_pairs(self, draw):
-        _, faces, keep = draw
+        n, faces, keep = draw
         x = SimplicialComplex(faces)
-        assert_trusted_pair(x, x.full_subcomplex(keep.__contains__))
+        sub = x.full_subcomplex(keep.__contains__)
+        assert_trusted_pair(x, sub)
+        assert_public_rebuild(sub)
+        for k in range(n + 1):
+            assert_public_rebuild(x.skeleton(k))
 
     @given(simplex_faces, st.integers(min_value=0, max_value=3),
            st.randoms(use_true_random=False))
@@ -358,6 +393,20 @@ class TestTrustedPath:
         assert_trusted_map(xi.chain_map().quotient(
             cyl.complex.indices_of(cyl.domain), cone.indices_of(base)))
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_trusted_cylinders_of_degree_maps(self, p):
+        assert_trusted_cylinder(mapping_cylinder(degree_map_circle(p)))
+
+    @given(simplex_faces, st.integers(min_value=0, max_value=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_cylinders_of_random_maps(self, draw, m, rng):
+        _, faces, _ = draw
+        x = SimplicialComplex(faces)
+        f = SimplicialMap(x, full_simplex(m),
+                          {v: rng.randint(0, m) for v in x.vertices()})
+        assert_trusted_cylinder(mapping_cylinder(f))
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_pontryagin_stages_and_bondings(self, p):
         stages, bondings = pontryagin_stage(p, 1)
@@ -373,9 +422,7 @@ class TestTrustedPath:
         # constructors; the public ones must build and accept the same.
         stages, bondings = pontryagin_stage(p, k)
         for x in stages + [q.target for q in bondings]:
-            rebuilt = SimplicialComplex(list(x.all_simplices()))
-            assert x == rebuilt
-            assert x._index == rebuilt._index
+            assert_public_rebuild(x)
         for q in bondings:
             SimplicialMap(q.source, q.target, q.vertex_map)
 
