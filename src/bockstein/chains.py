@@ -754,10 +754,6 @@ def _field_vector(col, p):
     return {i: w for i, v in col if (w := v % p)}
 
 
-# Vectors with more rows than this find their pivots through a heap.
-_SCAN_ROWS = 32
-
-
 class _Reducer:
     """Sparse columns with distinct pivots, kept by pivot row.
 
@@ -780,52 +776,22 @@ class _Reducer:
         coords; returns what is left of vec."""
         p = self.p
         kept = self.kept
-        # A long vec keeps its rows in a lazy max-heap, whose entries go
-        # stale when their row is cleared; a short one is scanned.  A
-        # kept column has no row past its pivot, so each step adds rows
-        # below the current one.
-        heap = None
         while vec:
-            if heap is None:
-                if len(vec) > _SCAN_ROWS:
-                    heap = [-i for i in vec]
-                    heapify(heap)
-                    continue
-                low = max(vec)
-            else:
-                low = -heap[0]
-                if low not in vec:
-                    heappop(heap)
-                    continue
+            low = max(vec)
             owner = kept.get(low)
             if owner is None:
                 break
             factor = vec[low]
-            col, combo = owner
-            get = vec.get
-            for i, v in col.items():
-                old = get(i)
-                if old is None:
-                    if heap is not None:
-                        heappush(heap, -i)
-                    vec[i] = -factor * v % p if p else -factor * v
-                    continue
-                w = old - factor * v
-                if p:
-                    w %= p
-                if w:
-                    vec[i] = w
-                else:
-                    del vec[i]
-            get = coords.get
-            for i, v in combo.items():
-                w = get(i, 0) - factor * v
-                if p:
-                    w %= p
-                if w:
-                    coords[i] = w
-                else:
-                    del coords[i]
+            for target, source in zip((vec, coords), owner):
+                get = target.get
+                for i, v in source.items():
+                    w = get(i, 0) - factor * v
+                    if p:
+                        w %= p
+                    if w:
+                        target[i] = w
+                    else:
+                        del target[i]
         return vec
 
     def add(self, vec, coords):

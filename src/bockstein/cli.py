@@ -652,18 +652,18 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # -- verification drivers ----------------------------------------------------
 
 # Input sizes are checked from closed forms before anything is built.
-# Timings below are CLI processes on a 2-CPU Xeon container, Python 3.11,
-# where start-up (import included) takes ~0.09 s.  The largest admitted
-# runs, mp-pair at p = 53 (1920 cells) and ew at n = 9 (2047 cells), take
-# ~0.12 s and ~0.10 s; the work grows a little faster than the cell count
-# (mp-pair at p = 199, 7176 cells: ~0.22 s past start-up), so this limit
-# is well inside what finishes.
+# Timings below are taken past start-up, in the process, on a 2-CPU Xeon
+# with Python 3.11; start-up (import included) adds ~0.1 s to a CLI
+# process.  The largest admitted runs, mp-pair at p = 53 (1920 cells) and
+# ew at n = 9 (2047 cells), take ~0.05 s and ~0.02 s; the work grows a
+# little faster than the cell count (mp-pair at p = 199, 7176 cells:
+# ~0.22 s), so this limit is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~2.7 s (stages 1 at p = 829,
+# and Q.  Its largest admitted runs take ~3.5 s (stages 1 at p = 829,
 # 99 526 cells) and ~2.0 s (stages 2 at p = 7, 72 574 cells).  Refused
 # runs would still finish: stages 1 at p = 997 (119 686 cells) takes
-# ~3.1 s past start-up, stages 2 at p = 11 (175 294 cells) ~5.0 s.
+# ~4.2 s, stages 2 at p = 11 (175 294 cells) ~4.9 s.
 _MAX_PONTRYAGIN_CELLS = 100_000
 
 

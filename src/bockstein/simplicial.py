@@ -14,6 +14,7 @@ stays comparable with its peers.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import eq
 
 from . import chains
 from .groups import Q as Q_GROUP
@@ -237,25 +238,20 @@ class SimplicialMap:
         collapsed by the vertex map contribute zero."""
         index = self.target._index
         vmap = self.vertex_map
-        # Sorting orders repeat from simplex to simplex: sign each once.
-        signs = {}
         columns = {}
         for k in range(self.source.dim + 1):
             cols = []
             positions = range(k + 1)
             for s in self.source.simplices(k):
                 imgs = [vmap[v] for v in s]
-                order = tuple(sorted(positions, key=imgs.__getitem__))
-                # A collapsed simplex repeats a vertex, and no simplex
-                # of the target does.
-                hit = index.get(tuple([imgs[j] for j in order]))
-                if hit is None:
+                order = sorted(positions, key=imgs.__getitem__)
+                t = tuple([imgs[j] for j in order])
+                # A collapsed simplex repeats a vertex, next to itself
+                # once sorted.
+                if any(map(eq, t, t[1:])):
                     cols.append(())
-                    continue
-                sign = signs.get(order)
-                if sign is None:
-                    sign = signs[order] = _order_sign(order)
-                cols.append(((hit[1], sign),))
+                else:
+                    cols.append(((index[t][1], _order_sign(order)),))
             columns[k] = tuple(cols)
         return chains.ChainMap._make(self.source.chain_complex(),
                                      self.target.chain_complex(), columns)

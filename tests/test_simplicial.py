@@ -407,6 +407,17 @@ class TestTrustedPath:
                           {v: rng.randint(0, m) for v in x.vertices()})
         assert_trusted_cylinder(mapping_cylinder(f))
 
+    def test_trusted_map_missing_image_raises(self):
+        # _make checks nothing, but chain_map only drops simplices that
+        # repeat a vertex: an image missing from the target still fails.
+        y = boundary_simplex(2)
+        f = SimplicialMap._make(full_simplex(2), y, {0: 0, 1: 1, 2: 2})
+        with pytest.raises(KeyError):
+            f.chain_map()
+        g = SimplicialMap._make(full_simplex(2), y, {0: 0, 1: 0, 2: 1})
+        cols = g.chain_map()._cols
+        assert cols[1][0] == () and 2 not in cols
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_pontryagin_stages_and_bondings(self, p):
         stages, bondings = pontryagin_stage(p, 1)
