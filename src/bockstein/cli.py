@@ -652,18 +652,19 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # -- verification drivers ----------------------------------------------------
 
 # Input sizes are checked from closed forms before anything is built.
-# Timings below are taken past start-up, in the process, on a 2-CPU Xeon
-# with Python 3.11; start-up (import included) adds ~0.1 s to a CLI
-# process.  The largest admitted runs, mp-pair at p = 53 (1920 cells) and
-# ew at n = 9 (2047 cells), take ~0.05 s and ~0.02 s; the work grows a
-# little faster than the cell count (mp-pair at p = 199, 7176 cells:
-# ~0.22 s), so this limit is well inside what finishes.
+# Timings below are taken past start-up, in the process, on a shared
+# 2-CPU Xeon with Python 3.11, and vary up to twofold with its load;
+# start-up (import included) adds ~0.1 s to a CLI process.  The largest
+# admitted runs, mp-pair at p = 53 (1920 cells) and ew at n = 9 (2047
+# cells), take ~0.05 s and ~0.02 s; the work grows a little faster than
+# the cell count (mp-pair at p = 199, 7176 cells: ~0.2 s), so this limit
+# is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~3.5 s (stages 1 at p = 829,
-# 99 526 cells) and ~2.0 s (stages 2 at p = 7, 72 574 cells).  Refused
+# and Q.  Its largest admitted runs take ~3.3 s (stages 1 at p = 829,
+# 99 526 cells) and ~2.2 s (stages 2 at p = 7, 72 574 cells).  Refused
 # runs would still finish: stages 1 at p = 997 (119 686 cells) takes
-# ~4.2 s, stages 2 at p = 11 (175 294 cells) ~4.9 s.
+# ~4.8 s, stages 2 at p = 11 (175 294 cells) ~5.9 s.
 _MAX_PONTRYAGIN_CELLS = 100_000
 
 

@@ -51,19 +51,13 @@ def _boundary_column(s, index, scale):
                  for i in range(len(s) - 1, -1, -1))
 
 
-def _order_sign(order):
-    """The sign of a permutation of range(n), by counting its cycles:
-    each cycle of length m is m - 1 transpositions."""
+def _perm_sign(values):
     sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if not seen[start]:
-            seen[start] = True
-            j = order[start]
-            while j != start:
-                seen[j] = True
+    vals = list(values)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if vals[i] > vals[j]:
                 sign = -sign
-                j = order[j]
     return sign
 
 
@@ -241,17 +235,18 @@ class SimplicialMap:
         columns = {}
         for k in range(self.source.dim + 1):
             cols = []
-            positions = range(k + 1)
             for s in self.source.simplices(k):
                 imgs = [vmap[v] for v in s]
-                order = sorted(positions, key=imgs.__getitem__)
-                t = tuple([imgs[j] for j in order])
-                # A collapsed simplex repeats a vertex, next to itself
-                # once sorted.
-                if any(map(eq, t, t[1:])):
+                t = tuple(sorted(imgs))
+                hit = index.get(t)
+                if hit is not None:
+                    cols.append(((hit[1], _perm_sign(imgs)),))
+                elif any(map(eq, t, t[1:])):
+                    # A collapsed simplex repeats a vertex, next to
+                    # itself once sorted.
                     cols.append(())
                 else:
-                    cols.append(((index[t][1], _order_sign(order)),))
+                    raise KeyError(t)
             columns[k] = tuple(cols)
         return chains.ChainMap._make(self.source.chain_complex(),
                                      self.target.chain_complex(), columns)
