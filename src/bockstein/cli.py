@@ -11,9 +11,11 @@ Subcommands:
 
 The expression language uses `[+]`, `[x]` and `\\/` as infix operators
 with precedence [x] > [+] > \\/, all left associative; `prod`, `times`
-and `wedge` are equivalent function spellings.  Infinity is the token
-`inf` on input and output.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error.
+and `wedge` are equivalent function spellings.  A cd-type expression is
+evaluated as it is parsed: each operation runs as soon as its operands
+are read, so a long operator chain is a loop, never a deep tree.
+Infinity is the token `inf` on input and output.  Exit codes: 0
+success, 1 verification failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from math import gcd
 
 from . import chains, simplicial
@@ -101,17 +104,40 @@ def _tokenize(text):
 
 # -- recursive-descent parser ------------------------------------------------
 
+# Each query and function form is a name and its argument slots; a slot
+# names the _Parser method that reads it, after "key=" for a keyword slot.
 _QUERY_ARITY = {
-    "norm": ("cd",),
-    "inorm": ("cd",),
-    "dim": ("cd", "group"),
+    "norm": ("cdexpr",),
+    "inorm": ("cdexpr",),
+    "dim": ("cdexpr", "group"),
     "sigma": ("group",),
-    "decompose": ("cd",),
-    "leq": ("cd", "cd"),
-    "phi": ("cd",),
+    "decompose": ("cdexpr",),
+    "leq": ("cdexpr", "cdexpr"),
+    "phi": ("cdexpr",),
 }
 
-_FN_ALIAS = {"prod": "sum", "times": "times", "wedge": "wedge"}
+# Constructors: a ValueError is an input error at the form's position.
+_CD_FORMS = {
+    "Phi": (phi_basis, ("basis", "nat")),
+    "nat": (nat, ("nat",)),
+    "test": (test_space, ("group", "nat")),
+    "triple": (CdType.triple, ("S=prime_set", "D=prime_set", "d=dspec")),
+}
+_GROUP_FORMS = {
+    "Zpinf": (ZpInf, ("prime",)),
+    "Zinv": (Zinv, ("prime",)),
+    "SumAll": (partial(SumOverPrimes, ALL_PRIMES), ("sum_pattern",)),
+    "SumOver": (SumOverPrimes, ("primes", "sum_pattern")),
+}
+
+# Operations on cd-types; their errors pass as they are.
+_CD_OPS = {
+    "conj": (CdType.conjugate, ("cdexpr",)),
+    "pow": (CdType.scale, ("cdexpr", "nat")),
+    "prod": (CdType.sum, ("cdexpr", "cdexpr")),
+    "times": (CdType.times, ("cdexpr", "cdexpr")),
+    "wedge": (CdType.wedge, ("cdexpr", "cdexpr")),
+}
 
 _BASIS_KINDS = {"Zp": Basis.zp, "Zpinf": Basis.zpinf, "Zloc": Basis.zloc}
 
@@ -159,6 +185,21 @@ class _Parser:
             raise CliError(f"syntax error at position {tok[2]}: "
                            f"unexpected trailing input {tok[1]!r}")
 
+    def args(self, slots):
+        """A parenthesized argument list, one reader per slot."""
+        self.expect("(")
+        out = []
+        for i, slot in enumerate(slots):
+            if i:
+                self.expect(",")
+            key, _, reader = slot.rpartition("=")
+            if key:
+                self.expect_ident(key)
+                self.expect("=")
+            out.append(getattr(self, reader)())
+        self.expect(")")
+        return out
+
     # queries
 
     def query(self):
@@ -166,90 +207,49 @@ class _Parser:
         if (tok[0] == "IDENT" and tok[1] in _QUERY_ARITY
                 and self.peek(1)[0] == "("):
             name = self.advance()[1]
-            self.expect("(")
-            args = []
-            for i, slot in enumerate(_QUERY_ARITY[name]):
-                if i:
-                    self.expect(",")
-                args.append(self.cdexpr() if slot == "cd" else self.group())
-            self.expect(")")
-            return ("query", name, tuple(args))
+            return ("query", name, tuple(self.args(_QUERY_ARITY[name])))
         return ("cdexpr", self.cdexpr())
 
-    # cd-type expressions, precedence [x] > [+] > \/
+    # cd-type expressions, precedence [x] > [+] > \/, each operation
+    # applied as soon as its operands are read
 
     def cdexpr(self):
         if self.depth > _MAX_NESTING:
             raise CliError(f"at position {self.peek()[2]}: expression "
                            f"nested deeper than {_MAX_NESTING} levels")
         self.depth += 1
-        node = self.pterm()
+        value = self.pterm()
         while self.accept("\\/"):
-            node = ("wedge", node, self.pterm())
+            value = value.wedge(self.pterm())
         self.depth -= 1
-        return node
+        return value
 
     def pterm(self):
-        node = self.xterm()
+        value = self.xterm()
         while self.accept("[+]"):
-            node = ("sum", node, self.xterm())
-        return node
+            value = value.sum(self.xterm())
+        return value
 
     def xterm(self):
-        node = self.atom()
+        value = self.atom()
         while self.accept("[x]"):
-            node = ("times", node, self.atom())
-        return node
+            value = value.times(self.atom())
+        return value
 
     def atom(self):
         if self.accept("("):
-            node = self.cdexpr()
+            value = self.cdexpr()
             self.expect(")")
-            return node
+            return value
         tok = self.expect("IDENT", "a cd-type expression")
-        name = tok[1]
-        if name == "Phi":
-            self.expect("(")
-            basis = self.basis()
-            self.expect(",")
-            level = self.nat()
-            self.expect(")")
-            return ("value", self._guard(tok, phi_basis, basis, level))
-        if name == "nat":
-            self.expect("(")
-            level = self.nat()
-            self.expect(")")
-            return ("value", self._guard(tok, nat, level))
-        if name == "triple":
-            return ("value", self.triple(tok))
-        if name == "conj":
-            self.expect("(")
-            node = self.cdexpr()
-            self.expect(")")
-            return ("conj", node)
-        if name == "pow":
-            self.expect("(")
-            node = self.cdexpr()
-            self.expect(",")
-            k = self.nat()
-            self.expect(")")
-            return ("pow", node, k)
-        if name == "test":
-            self.expect("(")
-            grp = self.group()
-            self.expect(",")
-            level = self.nat()
-            self.expect(")")
-            return ("value", self._guard(tok, test_space, grp, level))
-        if name in _FN_ALIAS:
-            self.expect("(")
-            left = self.cdexpr()
-            self.expect(",")
-            right = self.cdexpr()
-            self.expect(")")
-            return (_FN_ALIAS[name], left, right)
+        if tok[1] in _CD_FORMS:
+            fn, slots = _CD_FORMS[tok[1]]
+            return self._guard(tok, fn, *self.args(slots))
+        if tok[1] in _CD_OPS:
+            fn, slots = _CD_OPS[tok[1]]
+            return fn(*self.args(slots))
         raise CliError(f"syntax error at position {tok[2]}: "
-                       f"unknown form {name!r}")
+                       f"unknown form {tok[1]!r}")
 
     @staticmethod
     def _guard(tok, fn, *args):
@@ -257,22 +257,6 @@ class _Parser:
             return fn(*args)
         except ValueError as exc:
             raise CliError(f"at position {tok[2]}: {exc}") from exc
-
-    def triple(self, tok):
-        self.expect("(")
-        self.expect_ident("S")
-        self.expect("=")
-        s = self.prime_set()
-        self.expect(",")
-        self.expect_ident("D")
-        self.expect("=")
-        d_set = self.prime_set()
-        self.expect(",")
-        self.expect_ident("d")
-        self.expect("=")
-        fn = self.dspec()
-        self.expect(")")
-        return self._guard(tok, CdType.triple, s, d_set, fn)
 
     def expect_ident(self, text):
         tok = self.peek()
@@ -290,61 +274,55 @@ class _Parser:
         if maker is None:
             raise CliError(f"at position {tok[2]}: not a Bockstein basis "
                            f"kind: {tok[1]!r} (expected Q, Zp, Zpinf, Zloc)")
-        self.expect("(")
-        p = self.prime()
-        self.expect(")")
-        return maker(p)
+        return maker(*self.args(("prime",)))
 
     def prime_set(self):
         tok = self.peek()
         if tok[0] == "IDENT" and tok[1] == "all":
             self.advance()
             if self.accept("-"):
-                self.expect("{")
-                primes = self.prime_list()
-                self.expect("}")
-                return PrimeSet.all_except(*primes)
+                return PrimeSet.all_except(*self.primes())
             return ALL_PRIMES
-        self.expect("{")
-        primes = self.prime_list() if self.peek()[0] == "NUM" else []
-        self.expect("}")
-        return PrimeSet.of(*primes)
+        return PrimeSet.of(*self.primes(empty=True))
 
-    def prime_list(self):
-        primes = [self.prime()]
-        while self.accept(","):
+    def primes(self, empty=False):
+        """A braced list of primes, nonempty unless empty is set."""
+        self.expect("{")
+        primes = []
+        if not empty or self.peek()[0] == "NUM":
             primes.append(self.prime())
+            while self.accept(","):
+                primes.append(self.prime())
+        self.expect("}")
         return primes
 
     def dspec(self):
-        self.expect("{")
-        at_zero = None
-        default = None
-        exceptions = {}
+        brace = self.expect("{")
+        keys = {}
+        exceptions = []
         while True:
             tok = self.peek()
             if tok[0] == "IDENT" and tok[1] in ("zero", "default"):
                 self.advance()
+                if tok[1] in keys:
+                    raise CliError(f"syntax error at position {tok[2]}: "
+                                   f"repeated key {tok[1]!r} in a d-spec")
                 self.expect(":")
-                value = self.val()
-                if tok[1] == "zero":
-                    at_zero = value
-                else:
-                    default = value
+                keys[tok[1]] = self.val()
             else:
                 p = self.prime()
                 self.expect(":")
-                exceptions[p] = self.val()
+                exceptions.append((p, self.val()))
             if not self.accept(","):
                 break
         self.expect("}")
-        if default is None:
+        if "default" not in keys:
             tok = self.peek()
             raise CliError(f"syntax error at position {tok[2]}: "
                            "d-spec needs a default value")
-        if at_zero is None:
-            at_zero = default
-        return PrimeFn(at_zero, default, exceptions)
+        default = keys["default"]
+        return self._guard(brace, PrimeFn, keys.get("zero", default),
+                           default, exceptions)
 
     def val(self):
         negate = self.accept("-") is not None
@@ -387,40 +365,14 @@ class _Parser:
         if name == "Z":
             if self.accept("/"):
                 p = self.prime()
-                k = 1
-                if self.accept("^"):
-                    k = self.nat()
+                k = self.nat() if self.accept("^") else 1
                 return self._guard(tok, Zmod, p, k)
             return Z
-        if name == "Zpinf":
-            self.expect("(")
-            p = self.prime()
-            self.expect(")")
-            return ZpInf(p)
         if name == "Zloc":
-            self.expect("{")
-            primes = self.prime_list() if self.peek()[0] == "NUM" else []
-            self.expect("}")
-            return Zloc(primes)
-        if name == "Zinv":
-            self.expect("(")
-            p = self.prime()
-            self.expect(")")
-            return Zinv(p)
-        if name == "SumAll":
-            self.expect("(")
-            pattern = self.sum_pattern()
-            self.expect(")")
-            return SumOverPrimes(ALL_PRIMES, pattern)
-        if name == "SumOver":
-            self.expect("(")
-            self.expect("{")
-            primes = self.prime_list()
-            self.expect("}")
-            self.expect(",")
-            pattern = self.sum_pattern()
-            self.expect(")")
-            return SumOverPrimes(primes, pattern)
+            return Zloc(self.primes(empty=True))
+        if name in _GROUP_FORMS:
+            fn, slots = _GROUP_FORMS[name]
+            return self._guard(tok, fn, *self.args(slots))
         raise CliError(f"syntax error at position {tok[2]}: "
                        f"unknown group {name!r}")
 
@@ -435,10 +387,13 @@ class _Parser:
 
 
 def parse(text):
-    """Parse a query or a bare cd-type expression.
+    """Parse a query or a bare cd-type expression, evaluating each
+    cd-type expression as it is read: ("cdexpr", CdType) or ("query",
+    name, args) with the cd-type arguments already evaluated.
 
-    >>> parse("inorm(nat(5))")[0]
-    'query'
+    >>> kind, name, (f,) = parse("inorm(nat(5) [+] nat(1))")
+    >>> kind, name, f.render()
+    ('query', 'inorm', 'nat(6)')
     """
     ps = _Parser(text)
     node = ps.query()
@@ -461,35 +416,6 @@ def parse_group(text):
 
 
 # -- evaluation --------------------------------------------------------------
-
-# Operand count per node tag; the binary tags name CdType methods.
-_OPERANDS = {"conj": 1, "pow": 1, "sum": 2, "times": 2, "wedge": 2}
-
-
-def _eval_cd(node) -> CdType:
-    # An explicit stack, not recursion: a long operator chain parses
-    # into a tree deeper than the interpreter's recursion limit.
-    values = []
-    todo = [(node, False)]
-    while todo:
-        node, ready = todo.pop()
-        tag = node[0]
-        if tag == "value":
-            values.append(node[1])
-        elif not ready:
-            todo.append((node, True))
-            todo.extend((child, False)
-                        for child in reversed(node[1:1 + _OPERANDS[tag]]))
-        elif tag == "conj":
-            values.append(values.pop().conjugate())
-        elif tag == "pow":
-            values.append(values.pop().scale(node[2]))
-        else:
-            right = values.pop()
-            left = values.pop()
-            values.append(getattr(left, tag)(right))
-    return values.pop()
-
 
 def _fn_json(fn: PrimeFn):
     out = {"default": value_to_json(fn.default)}
@@ -539,7 +465,7 @@ def _family_json(fam):
 
 
 def evaluate(parsed):
-    """Evaluate a parsed query; a dict with `text` and `json` renderings.
+    """Run a parsed query; a dict with `text` and `json` renderings.
 
     >>> evaluate(parse("norm(Phi(Zp(2),3) [+] Phi(Q,2))"))["text"]
     '4'
@@ -549,17 +475,17 @@ def evaluate(parsed):
     '5'
     """
     if parsed[0] == "cdexpr":
-        f = _eval_cd(parsed[1])
+        f = parsed[1]
         return {"text": f.render(),
                 "json": {"query": "value", "value": f.to_json()}}
     _, name, args = parsed
     if name in ("norm", "inorm"):
-        f = _eval_cd(args[0])
+        f = args[0]
         v = f.norm() if name == "norm" else f.inferior_norm()
         return {"text": str(v),
                 "json": {"query": name, "value": value_to_json(v)}}
     if name == "dim":
-        v = dim(_eval_cd(args[0]), args[1])
+        v = dim(args[0], args[1])
         return {"text": str(v),
                 "json": {"query": name, "value": value_to_json(v)}}
     if name == "sigma":
@@ -567,14 +493,14 @@ def evaluate(parsed):
         return {"text": fam.render(),
                 "json": {"query": name, "value": _family_json(fam)}}
     if name == "decompose":
-        dec = decompose(_eval_cd(args[0]))
+        dec = decompose(args[0])
         return {"text": _decomposition_text(dec),
                 "json": {"query": name, "value": _decomposition_json(dec)}}
     if name == "leq":
-        flag = _eval_cd(args[0]).leq(_eval_cd(args[1]))
+        flag = args[0].leq(args[1])
         return {"text": "true" if flag else "false",
                 "json": {"query": name, "value": flag}}
-    phi = _eval_cd(args[0]).to_phi()
+    phi = args[0].to_phi()
     return {"text": _phi_text(phi),
             "json": {"query": "phi", "value": _phi_json(phi)}}
 
@@ -931,10 +857,7 @@ def main(argv=None):
     args = _build_argparser().parse_args(argv)
     try:
         code, text, jobj = args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, UndefinedArithmetic) as exc:
+    except (CliError, ValueError, UndefinedArithmetic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -28,6 +28,7 @@ composite passing BPSW is known.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import total_ordering
 from math import isqrt
 
 __all__ = [
@@ -51,6 +52,7 @@ class UndefinedArithmetic(ArithmeticError):
     """An extended-arithmetic expression with no assigned value."""
 
 
+@total_ordering
 class _Extended:
     """A point at infinity.  Only the module constants INF, NEG_INF exist."""
 
@@ -65,9 +67,6 @@ class _Extended:
     def __eq__(self, other):
         return self is other
 
-    def __ne__(self, other):
-        return self is not other
-
     def __hash__(self):
         return hash(("extended", self._sign))
 
@@ -79,27 +78,6 @@ class _Extended:
             return self._sign < other._sign
         if isinstance(other, int):
             return self._sign < 0
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _Extended):
-            return self._sign <= other._sign
-        if isinstance(other, int):
-            return self._sign < 0
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _Extended):
-            return self._sign > other._sign
-        if isinstance(other, int):
-            return self._sign > 0
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, _Extended):
-            return self._sign >= other._sign
-        if isinstance(other, int):
-            return self._sign > 0
         return NotImplemented
 
     def __add__(self, other):

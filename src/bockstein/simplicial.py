@@ -124,13 +124,6 @@ class SimplicialComplex:
     def has(self, simplex):
         return tuple(sorted(simplex)) in self._index
 
-    def index(self, simplex):
-        """Position of the simplex within its dimension's ordering."""
-        t = tuple(sorted(simplex))
-        if t not in self._index:
-            raise ValueError(f"not a simplex of this complex: {simplex!r}")
-        return self._index[t]
-
     def f_vector(self):
         return tuple(len(self.simplices(k))
                      for k in range(self.dim + 1))
@@ -289,8 +282,8 @@ def degree_map_circle(p, k=3):
         raise ValueError(f"covering degree must be at least 2: {p!r}")
     if not (isinstance(k, int) and k >= 3):
         raise ValueError(f"base circle needs k >= 3: {k!r}")
-    return SimplicialMap(circle(p * k), circle(k),
-                         {i: i % k for i in range(p * k)})
+    return SimplicialMap._make(circle(p * k), circle(k),
+                               {i: i % k for i in range(p * k)})
 
 
 # -- mapping cylinders -------------------------------------------------------
@@ -360,16 +353,19 @@ class Cylinder:
     def collapse(self):
         """Collapse the target end to a point: returns (cone, xi, base)
         where cone is the cone on the domain end, xi the collapse map,
-        and base the domain end inside the cone."""
+        and base the domain end inside the cone.
+
+        The cone is collected closed under faces and sorted ("K" sorts
+        before "apex"), so both are built by the trusted constructors."""
         apex = ("apex",)
         cone_simplices = list(self.domain.all_simplices())
         cone_simplices.extend(s + (apex,)
                               for s in self.domain.all_simplices())
         cone_simplices.append((apex,))
-        cone = SimplicialComplex(cone_simplices)
+        cone = SimplicialComplex._make(cone_simplices)
         vmap = {v: (v if v[0] == "K" else apex)
                 for v in self.complex.vertices()}
-        xi = SimplicialMap(self.complex, cone, vmap)
+        xi = SimplicialMap._make(self.complex, cone, vmap)
         return cone, xi, self.domain
 
     def __repr__(self):

@@ -158,6 +158,62 @@ class TestParsing:
         assert args[1] is Q
 
 
+class TestForms:
+    """One valid input per function form, and the pinned error texts."""
+
+    @pytest.mark.parametrize("expr, want", [
+        ("Phi(Zpinf(3), 2)", "triple(S={3}, D={}, d={zero: 1, default: 1})"),
+        ("nat(4)", "nat(4)"),
+        ("test(Z/2, 3)",
+         "triple(S={2}, D={2}, d={zero: 1, default: 1, 2: 3})"),
+        ("triple(S={2}, D={2}, d={default: 1, 2: 3})",
+         "triple(S={2}, D={2}, d={zero: 1, default: 1, 2: 3})"),
+        ("conj(Phi(Zp(2), 2))",
+         "triple(S={2}, D={}, d={zero: -1, default: -1, 2: -2})"),
+        ("pow(Phi(Zp(2), 2), 2)",
+         "triple(S={2}, D={2}, d={zero: 2, default: 2, 2: 4})"),
+        ("prod(nat(2), nat(1))", "nat(3)"),
+        ("times(nat(2), nat(3))", "nat(6)"),
+        ("wedge(nat(2), Phi(Q, 3))",
+         "triple(S=all, D={}, d={zero: 3, default: 2})"),
+        ("sigma(Z/3^2)", "Z/3"),
+        ("sigma(Zpinf(5))", "Zpinf(5)"),
+        ("sigma(Zinv(3))", "Zloc(p) for all p != 3"),
+        ("sigma(Zloc{2,3})", "Zloc(2); Zloc(3)"),
+        ("sigma(SumAll(Zpinf))", "Zpinf(p) for all p"),
+        ("sigma(SumOver({2,3}, Zp))", "Z/2; Z/3"),
+    ])
+    def test_each_form(self, capsys, expr, want):
+        assert run(capsys, ["eval", expr]) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("expr, err", [
+        ("nat(2) [+] Zq(1)", "syntax error at position 11: unknown form 'Zq'"),
+        ("sigma(Zq(2))", "syntax error at position 6: unknown group 'Zq'"),
+        ("nat(2) [+] Phi(Zp(9), 2)", "at position 18: not a prime: 9"),
+        ("sigma(Z/2 + Zpinf(6))", "at position 18: not a prime: 6"),
+        ("pow(nat(2), 0)", "scale needs an integer k >= 1: 0"),
+        ("(" * 101 + "nat(1)" + ")" * 101,
+         "at position 101: expression nested deeper than 100 levels"),
+        # The operations run as soon as their operands are read, so the
+        # scale error comes before the unbalanced parenthesis.
+        ("Phi(Q,2) [x] pow(nat(2), 0))", "scale needs an integer k >= 1: 0"),
+    ])
+    def test_error_texts(self, capsys, expr, err):
+        assert run(capsys, ["eval", expr]) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("spec, err", [
+        ("{zero: 1, default: 1, 2: 5, 2: 6}",
+         "at position 22: conflicting values at prime 2"),
+        ("{zero: 1, zero: 2, default: 1}",
+         "syntax error at position 32: repeated key 'zero' in a d-spec"),
+        ("{default: 1, 3: 2, default: 1}",
+         "syntax error at position 41: repeated key 'default' in a d-spec"),
+    ])
+    def test_dspec_refuses_repeated_keys(self, capsys, spec, err):
+        expr = f"triple(S={{2}}, D={{}}, d={spec})"
+        assert run(capsys, ["eval", expr]) == (2, "", f"error: {err}\n")
+
+
 class TestTables:
     def test_fundamental_cells_match_known_rows(self):
         for n in (2, 3, 5):

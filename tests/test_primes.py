@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,18 @@ class TestExtended:
         assert NEG_INF < -10 ** 9 < 10 ** 9 < INF
         assert INF > 0 and not INF < 0
         assert NEG_INF <= NEG_INF <= INF <= INF
+
+    def test_comparisons_exhaustive(self):
+        # All six operators, both operand orders, on the extended line
+        # against its rank: INF and NEG_INF beyond every int.
+        line = [NEG_INF, -2, -1, 0, 1, 2, INF]
+        ops = [operator.lt, operator.le, operator.gt, operator.ge,
+               operator.eq, operator.ne]
+        for i, x in enumerate(line):
+            for j, y in enumerate(line):
+                for op in ops:
+                    assert op(x, y) is op(i, j), (op.__name__, x, y)
+                    assert op(y, x) is op(j, i), (op.__name__, y, x)
 
     def test_addition(self):
         assert INF + 5 == INF

@@ -352,6 +352,15 @@ def assert_trusted_cylinder(cyl):
         assert_trusted_map(f.chain_map())
 
 
+def assert_trusted_collapse(cyl):
+    """The trusted cone of collapse() equals its public rebuild, and the
+    public map constructor accepts the collapse map xi."""
+    cone, xi, _ = cyl.collapse()
+    assert_public_rebuild(cone)
+    SimplicialMap(xi.source, xi.target, xi.vertex_map)
+    assert_trusted_map(xi.chain_map())
+
+
 class TestTrustedPath:
     @given(simplex_faces)
     @settings(max_examples=100, deadline=None)
@@ -406,6 +415,25 @@ class TestTrustedPath:
         f = SimplicialMap(x, full_simplex(m),
                           {v: rng.randint(0, m) for v in x.vertices()})
         assert_trusted_cylinder(mapping_cylinder(f))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+    def test_trusted_degree_maps(self, p):
+        f = degree_map_circle(p)
+        SimplicialMap(f.source, f.target, f.vertex_map)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_trusted_collapse_of_degree_maps(self, p):
+        assert_trusted_collapse(mapping_cylinder(degree_map_circle(p)))
+
+    @given(simplex_faces, st.integers(min_value=0, max_value=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_collapse_of_random_maps(self, draw, m, rng):
+        _, faces, _ = draw
+        x = SimplicialComplex(faces)
+        f = SimplicialMap(x, full_simplex(m),
+                          {v: rng.randint(0, m) for v in x.vertices()})
+        assert_trusted_collapse(mapping_cylinder(f))
 
     def test_trusted_map_missing_image_raises(self):
         # _make checks nothing, but chain_map only drops simplices that
