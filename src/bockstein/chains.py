@@ -559,8 +559,10 @@ def _invariant_factors(orders):
     """Canonical invariant-factor chain of a finite abelian group.
 
     Each order is merged into the chain: Z/f + Z/n = Z/gcd + Z/lcm, and
-    the lcm carries on up.  Nothing is factored, so huge prime orders
-    cost no more than small ones.
+    the lcm carries on up.  Once n divides f, every merge above only
+    moves the chain up one place, so n is inserted there instead: b
+    equal orders cost b steps, not b^2 / 2.  Nothing is factored, so
+    huge prime orders cost no more than small ones.
 
     >>> _invariant_factors([2, 3])
     (6,)
@@ -571,8 +573,12 @@ def _invariant_factors(orders):
     for n in orders:
         if n > 1:
             for i, f in enumerate(factors):
+                if f % n == 0:
+                    factors.insert(i, n)
+                    break
                 factors[i], n = gcd(f, n), lcm(f, n)
-            factors.append(n)
+            else:
+                factors.append(n)
     return tuple(f for f in factors if f > 1)
 
 
@@ -745,23 +751,15 @@ def _field_prime(coeff):
     return None if coeff is Q_GROUP else coeff.p
 
 
-def _field_vector(col, p):
-    """A fresh sparse vector over the field from (row, value) pairs:
-    reduced mod p, zeros dropped.  Over Q it is a plain copy, since
-    _Reducer.add takes its vector over and mutates it."""
-    if p is None:
-        return dict(col)
-    return {i: w for i, v in col if (w := v % p)}
-
-
 class _Reducer:
     """Sparse columns with distinct pivots, kept by pivot row.
 
     A column's pivot is its largest nonzero row.  Each kept column is
-    scaled so its pivot entry is 1 and carries coordinates, which every
-    operation on the column applies alike: image columns carry none,
-    homology representatives a basis vector, kernel columns the
-    combination of original columns they came from.
+    scaled so its pivot entry is 1 and is kept with its coordinates,
+    which every operation on the column applies alike: homology
+    representatives carry a basis vector, kernel columns the
+    combination of original columns they came from.  Image columns and
+    untracked reductions carry None and do no coordinate work.
     """
 
     __slots__ = ("p", "kept")
@@ -770,56 +768,81 @@ class _Reducer:
         self.p = p
         self.kept = {}
 
-    def reduce(self, vec, coords):
+    def _clear(self, vec, coords):
         """Clear kept pivots from vec in place, bottom row first,
-        subtracting the same multiples of their coordinates from
-        coords; returns what is left of vec."""
+        subtracting the same multiples of their coordinates from coords
+        when both carry any.  Returns the pivot row left in vec, or -1
+        when nothing is left."""
         p = self.p
         kept = self.kept
         while vec:
             low = max(vec)
             owner = kept.get(low)
             if owner is None:
-                break
+                return low
             factor = vec[low]
-            for target, source in zip((vec, coords), owner):
+            column, column_coords = owner
+            pairs = ((vec, column),)
+            if column_coords and coords is not None:
+                pairs += ((coords, column_coords),)
+            for target, source in pairs:
                 get = target.get
-                for i, v in source.items():
-                    w = get(i, 0) - factor * v
-                    if p:
-                        w %= p
-                    if w:
-                        target[i] = w
-                    else:
-                        del target[i]
+                if p:
+                    for i, v in source.items():
+                        w = (get(i, 0) - factor * v) % p
+                        if w:
+                            target[i] = w
+                        else:
+                            del target[i]
+                else:
+                    for i, v in source.items():
+                        w = get(i, 0) - factor * v
+                        if w:
+                            target[i] = w
+                        else:
+                            del target[i]
+        return -1
+
+    def reduce(self, vec, coords):
+        """Clear kept pivots from vec in place, subtracting the same
+        multiples of their coordinates from coords (None for none);
+        returns what is left of vec."""
+        self._clear(vec, coords)
         return vec
 
     def add(self, vec, coords):
         """Reduce vec and keep what is left under its pivot; returns
-        whether anything was kept.  Both arguments are taken over."""
-        if not self.reduce(vec, coords):
+        whether anything was kept.  Both arguments are taken over;
+        coords may be None."""
+        low = self._clear(vec, coords)
+        if low < 0:
             return False
-        low = max(vec)
         lead = vec[low]
         if lead != 1:
             p = self.p
             if p:
                 inv = pow(lead, -1, p)
+            elif lead == -1:
+                inv = -1
             else:
-                # Integral inverses (the usual +-1) keep entries ints.
+                # Integral inverses keep entries ints.
                 inv = 1 / Fraction(lead)
                 if inv.denominator == 1:
                     inv = inv.numerator
-            for d in (vec, coords):
-                for i, v in d.items():
-                    d[i] = v * inv % p if p else v * inv
+            for d in (vec, coords) if coords else (vec,):
+                if p:
+                    for i, v in d.items():
+                        d[i] = v * inv % p
+                else:
+                    for i, v in d.items():
+                        d[i] = v * inv
         self.kept[low] = (vec, coords)
         return True
 
 
 def _rank(vecs, p):
     reducer = _Reducer(p)
-    return sum(reducer.add(vec, {}) for vec in vecs)
+    return sum(reducer.add(vec, None) for vec in vecs)
 
 
 def _boundary_reducer(c: ChainComplex, k, p, cleared=(), kernel=None):
@@ -835,12 +858,15 @@ def _boundary_reducer(c: ChainComplex, k, p, cleared=(), kernel=None):
     from, and those that reduce to zero are appended to kernel: with
     the image of d_{k+1} they span the k-cycles."""
     reducer = _Reducer(p)
+    add = reducer.add
     track = kernel is not None
     for j, col in enumerate(c._columns(k)):
         if j in cleared:
             continue
-        combo = {j: 1} if track else {}
-        if not reducer.add(_field_vector(col, p), combo) and track:
+        # A fresh vector over the field, since add takes it over.
+        vec = {i: w for i, v in col if (w := v % p)} if p else dict(col)
+        combo = {j: 1} if track else None
+        if not add(vec, combo) and track:
             kernel.append(combo)
     return reducer
 
@@ -919,8 +945,10 @@ def _field_induced(cm: ChainMap, degree, coeff, dual):
     images = []
     for rep in reps_s:
         image = _sparse_compose(maps, rep.items()) if maps else {}
+        if p:
+            image = {i: w for i, v in image.items() if (w := v % p)}
         coords = {}
-        if space_t.reduce(_field_vector(image.items(), p), coords):
+        if space_t.reduce(image, coords):
             raise ValueError("vector is not a cycle in this degree")
         images.append({j: -v % p if p else -v for j, v in coords.items()})
     n_s, n_t = len(reps_s), len(reps_t)

@@ -587,10 +587,13 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~3.3 s (stages 1 at p = 829,
-# 99 526 cells) and ~2.2 s (stages 2 at p = 7, 72 574 cells).  Refused
+# and Q.  Its largest admitted runs take ~3.0 s (stages 1 at p = 829,
+# 99 526 cells) and ~1.4 s (stages 2 at p = 7, 72 574 cells).  Refused
 # runs would still finish: stages 1 at p = 997 (119 686 cells) takes
-# ~4.8 s, stages 2 at p = 11 (175 294 cells) ~5.9 s.
+# ~3.4 s, stages 2 at p = 11 (175 294 cells) ~4.2 s.  The limit stays
+# where it was: stages 1 near it still takes ~3 s, and its largest cost
+# is the pivot search in the reduction of long cycles (a max over the
+# whole vector at every elimination step).
 _MAX_PONTRYAGIN_CELLS = 100_000
 
 

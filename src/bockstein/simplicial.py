@@ -7,14 +7,17 @@ Pontryagin-style triangle replacements with their collapse maps,
 Edwards-Walsh modifications of a skeleton, joins via chain complexes.
 
 Vertex labels may be anything hashable and mutually comparable; the
-nested constructions use tagged tuples so that every generated label
-stays comparable with its peers.
+constructions use tagged tuples so that every generated label stays
+comparable with its peers.  Cylinders nest the simplices they come
+from; a Pontryagin stage names each new vertex by a tag and the
+positions of the previous stage's vertices, so its labels stay flat
+tuples of a tag and ints at every stage.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import eq
+from operator import eq, itemgetter
 
 from . import chains
 from .groups import Q as Q_GROUP
@@ -47,8 +50,8 @@ def _boundary_column(s, index, scale):
     """The frozen boundary column of the sorted simplex s, times scale.
     Dropping a later vertex leaves an earlier face, so the rows come out
     ascending when i runs down."""
-    return tuple((index[s[:i] + s[i + 1:]][1], -scale if i % 2 else scale)
-                 for i in range(len(s) - 1, -1, -1))
+    return tuple([(index[s[:i] + s[i + 1:]][1], -scale if i % 2 else scale)
+                  for i in range(len(s) - 1, -1, -1)])
 
 
 def _perm_sign(values):
@@ -229,11 +232,13 @@ class SimplicialMap:
         for k in range(self.source.dim + 1):
             cols = []
             for s in self.source.simplices(k):
-                imgs = [vmap[v] for v in s]
+                imgs = tuple([vmap[v] for v in s])
                 t = tuple(sorted(imgs))
                 hit = index.get(t)
                 if hit is not None:
-                    cols.append(((hit[1], _perm_sign(imgs)),))
+                    # An image already in order keeps the orientation.
+                    sign = 1 if t == imgs else _perm_sign(imgs)
+                    cols.append(((hit[1], sign),))
                 elif any(map(eq, t, t[1:])):
                     # A collapsed simplex repeats a vertex, next to
                     # itself once sorted.
@@ -386,8 +391,10 @@ def mapping_cylinder(f: SimplicialMap) -> Cylinder:
 
 def _subdivided_cycle(tri, p):
     """The 6p-gon boundary of a triangle whose edges carry 2p - 1
-    interior points each.  Interior labels ('e', u, v, i) are global:
-    u < v are the edge's endpoints and i counts steps from u."""
+    interior points each.  The corners of tri are vertex positions in
+    the previous stage, so every label is a flat tuple.  Interior labels
+    ('e', u, v, i) are global: u < v are the edge's endpoints and i
+    counts steps from u."""
     a, b, c = tri
     cyc = [("o", a)]
     cyc.extend(("e", a, b, i) for i in range(1, 2 * p))
@@ -404,18 +411,50 @@ def _replace_triangles(l: SimplicialComplex, p):
     along the subdivided boundary.  Returns (next stage, cone
     retriangulation of l, bonding map).
 
-    Both complexes are collected closed under faces, each simplex
-    sorted, and built by the trusted constructors.
+    A new vertex is named by the positions, in l.simplices(0), of the
+    vertices of l it comes from: ('o', i) for vertex i, ('e', i, j, t)
+    on the edge (i, j), and inside the triangle (i, j, k) the apex
+    ('a', i, j, k) or ('c', i, j, k) followed by the simplex of the
+    covered circle whose barycentre the vertex is.  Positions sort as the
+    labels of l do, so every sorted order is the one the labels would
+    give, and no label nests those of the stage before.  Both complexes
+    are collected closed under faces, each simplex sorted, and built by
+    the trusted constructors.
     """
     cyl = mapping_cylinder(degree_map_circle(p, 3))
-    local = list(cyl.complex.all_simplices())
-    interiors = [v for v in cyl.complex.vertices() if v[0] == "L"]
-    n = 3 * p
+    corners = cyl.complex.vertices()
+    interiors = [m for m, (side, _) in enumerate(corners) if side == "L"]
+
+    def relabel(tri, cyc):
+        """The labels that the cylinder's vertices, in corners order,
+        take in the copy that replaces tri."""
+        out = []
+        for side, s in corners:
+            if side == "L":
+                out.append(("c",) + tri + s)
+            elif len(s) == 1:
+                out.append(cyc[2 * s[0]])
+            else:
+                # The edge (i, i + 1), or (0, 3p - 1) closing the circle.
+                i, j = s
+                out.append(cyc[2 * i + 1 if j == i + 1 else 2 * j + 1])
+        return out
+
+    # Within one copy, labels compare by tag, then by corner positions
+    # a < b < c, then by steps or cylinder simplices: as in the copy over
+    # (0, 1, 2).  So one sort of each cylinder simplex serves every copy.
+    where = {v: m for m, v in enumerate(corners)}
+    template = relabel((0, 1, 2), _subdivided_cycle((0, 1, 2), p))
+    pick = [itemgetter(*sorted([where[v] for v in s],
+                               key=template.__getitem__))
+            for s in cyl.complex.all_simplices() if len(s) > 1]
+    pos = {v: i for i, (v,) in enumerate(l.simplices(0))}
     # The subdivided 1-skeleton of l is shared by both complexes; the
     # bonding map fixes its vertices.
-    bonding = {("o", v): ("o", v) for (v,) in l.simplices(0)}
+    bonding = {("o", i): ("o", i) for i in range(len(pos))}
     shared = set()
     for (u, v) in l.simplices(1):
+        u, v = pos[u], pos[v]
         path = [("o", u)]
         path.extend(("e", u, v, i) for i in range(1, 2 * p))
         path.append(("o", v))
@@ -427,17 +466,11 @@ def _replace_triangles(l: SimplicialComplex, p):
     simplices = set(shared)
     cone_simplices = set(shared)
     for tri in l.simplices(2):
+        tri = (pos[tri[0]], pos[tri[1]], pos[tri[2]])
         cyc = _subdivided_cycle(tri, p)
-        relabel = {}
-        for i in range(n):
-            relabel[("K", (i,))] = cyc[2 * i]
-            j = (i + 1) % n
-            edge = (i, j) if i < j else (j, i)
-            relabel[("K", edge)] = cyc[2 * i + 1]
-        for w in interiors:
-            relabel[w] = ("c",) + tri + w[1]
-        simplices.update(tuple(sorted([relabel[v] for v in s]))
-                         for s in local)
+        labels = relabel(tri, cyc)
+        simplices.update((x,) for x in labels)
+        simplices.update([g(labels) for g in pick])
         # The apex label sorts before every label of the cycle.
         apex = ("a",) + tri
         cone_simplices.add((apex,))
@@ -445,8 +478,8 @@ def _replace_triangles(l: SimplicialComplex, p):
             x, y = cyc[m], cyc[(m + 1) % (6 * p)]
             cone_simplices.add((apex, x))
             cone_simplices.add((apex, x, y) if x < y else (apex, y, x))
-        for w in interiors:
-            bonding[relabel[w]] = apex
+        for m in interiors:
+            bonding[labels[m]] = apex
     nxt = SimplicialComplex._make(simplices)
     cone = SimplicialComplex._make(cone_simplices)
     return nxt, cone, SimplicialMap._make(nxt, cone, bonding)
@@ -461,6 +494,11 @@ def pontryagin_stage(p, k):
     covering.  The j-th bonding map goes from L_{j+1} onto a cone
     retriangulation of L_j (same underlying space).  k is limited to 2
     to keep complexes of workable size.
+
+    L_1 has the vertices 0 .. 3; later stages and the cones have flat
+    labels such as ('o', i), ('e', i, j, t), ('c', i, j, k, ...) and
+    ('a', i, j, k), whose ints are positions in the sorted vertex list
+    of the stage before (see _replace_triangles).
     """
     check_prime(p)
     if k not in (1, 2):

@@ -230,3 +230,60 @@ def integral_homology_oracle(complex_ranks, boundaries):
         torsion = smith_invariants(dk1) if dk1 else []
         out.append((rk - rank_k - rank_k1, tuple(sorted(torsion))))
     return out
+
+
+def kernel_basis(matrix, cols, p):
+    """A basis of the null space of an integer matrix with cols columns,
+    over Q (p None) or F_p, by dense Gauss-Jordan elimination."""
+    if p is None:
+        rows = [[Fraction(v) for v in row] for row in matrix]
+        norm = Fraction
+        inv = lambda a: 1 / a
+    else:
+        rows = [[v % p for v in row] for row in matrix]
+        norm = lambda a: a % p
+        inv = lambda a: pow(a, p - 2, p)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = inv(rows[r][c])
+        rows[r] = [norm(scale * v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [norm(a - f * b) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = norm(-rows[r][free])
+        basis.append(v)
+    return basis
+
+
+def induced_rank_oracle(d_source, d_target_up, f, p):
+    """Rank of the map H_k(S) -> H_k(T) that a chain map induces over Q
+    (p None) or F_p: rank([B_k(T) | f(Z_k(S))]) - rank(B_k(T)).
+
+    f is the dense degree-k matrix (rows: k-cells of T, columns: k-cells
+    of S); d_source is d_k of S and d_target_up is d_{k+1} of T, dense,
+    with None for a zero map."""
+    rows, cols = len(f), len(f[0]) if f else 0
+    if d_source:
+        cycles = kernel_basis(d_source, cols, p)
+    else:
+        cycles = [[int(i == j) for i in range(cols)] for j in range(cols)]
+    images = [[sum(a * z for a, z in zip(row, cycle)) for row in f]
+              for cycle in cycles]
+    bounds = [list(row) for row in d_target_up] if d_target_up else (
+        [[] for _ in range(rows)])
+    stacked = [b + [image[i] for image in images]
+               for i, b in enumerate(bounds)]
+    rank = rank_rational if p is None else (lambda m: rank_mod_p(m, p))
+    return rank(stacked) - (rank(d_target_up) if d_target_up else 0)

@@ -1,7 +1,7 @@
 import time
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,8 +19,8 @@ from bockstein.simplicial import SimplicialComplex, pontryagin_stage
 from bockstein.groups import Q, Z, Zmod, ZpInf
 
 from oracles import (
-    betti_oracle, integral_homology_oracle, join_expect, rank_mod_p,
-    rank_rational, smith_invariants,
+    betti_oracle, induced_rank_oracle, integral_homology_oracle,
+    join_expect, rank_mod_p, rank_rational, smith_invariants,
 )
 
 
@@ -359,6 +359,33 @@ class TestInvariantFactors:
         assert GroupReport(0, (2 ** 61 - 1,), Z).render() == (
             f"Z/{2 ** 61 - 1}")
 
+    @given(st.lists(st.sampled_from([1, 2, 2, 2, 3, 3, 4, 5, 6, 8, 9, 12,
+                                     25, 2 ** 61 - 1]),
+                    max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_full_merge_on_long_lists(self, orders):
+        assert _invariant_factors(orders) == merged_factors(orders)
+
+    @pytest.mark.parametrize("p", [2, 3, 2 ** 61 - 1])
+    def test_repeated_orders(self, p):
+        orders = (p,) * 2000
+        assert _invariant_factors(orders) == merged_factors(orders) == orders
+        mixed = (p, p * p) * 1000
+        assert _invariant_factors(mixed) == merged_factors(mixed)
+        assert GroupReport(0, orders, Z).orders == orders
+
+
+def merged_factors(orders):
+    """The invariant factors by merging every order through the whole
+    chain, gcd below and lcm carried up: b^2 / 2 steps for b orders."""
+    factors = []
+    for n in orders:
+        if n > 1:
+            for i, f in enumerate(factors):
+                factors[i], n = gcd(f, n), lcm(f, n)
+            factors.append(n)
+    return tuple(f for f in factors if f > 1)
+
 
 class TestSparseConstructors:
     """The public sparse edges refuse what the dense ones refuse."""
@@ -588,6 +615,77 @@ class TestClearing:
             for group in (Z, Zmod(2), Zmod(3)):
                 assert_basis_uncleared(
                     simplicial.ew_skeleton(model, group, n)[0])
+
+
+# -- field induced maps against a dense oracle -------------------------------
+
+def dense_map(cm, k):
+    f = [[0] * cm.source.rank(k) for _ in range(cm.target.rank(k))]
+    for j, col in enumerate(cm._cols.get(k, ())):
+        for i, v in col:
+            f[i][j] = v
+    return f
+
+
+def assert_induced_against_oracle(cm):
+    """Rank and flags of every field induced map of cm, homology and
+    cohomology, against the dense rank of [B_k(T) | f(Z_k(S))]."""
+    src, tgt = cm.source, cm.target
+    bnd_s, bnd_t = dense_boundaries(src), dense_boundaries(tgt)
+    for (coeff, rank_fn), p in zip(FIELDS, (None, 2, 3)):
+        betti_s = betti_oracle(src.ranks, bnd_s, rank_fn)
+        betti_t = betti_oracle(tgt.ranks, bnd_t, rank_fn)
+        for k in range(src.top + 1):
+            d_source = bnd_s.get(k)
+            d_target_up = bnd_t.get(k + 1)
+            want = induced_rank_oracle(d_source, d_target_up,
+                                       dense_map(cm, k), p)
+            b_s = betti_s[k]
+            b_t = betti_t[k] if k <= tgt.top else 0
+            hom = induced_map(cm, k, coeff)
+            co = induced_map(cm, k, coeff, cohomology=True)
+            assert rank_fn([list(r) for r in hom.matrix]) == want, (k, coeff)
+            assert len(hom.matrix) == b_t and len(co.matrix) == b_s
+            assert (hom.injective, hom.surjective) == (want == b_s,
+                                                       want == b_t)
+            assert (co.injective, co.surjective) == (want == b_t,
+                                                     want == b_s)
+
+
+class TestFieldInducedAgainstDenseOracle:
+    @given(simplex_pairs(), st.integers(min_value=1, max_value=4),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_simplicial_maps(self, pair, m, rng):
+        # The target is the image of x, so it has homology of its own.
+        x, _ = pair
+        vmap = {v: rng.randint(0, m + 1) for v in x.vertices()}
+        y = SimplicialComplex([{vmap[v] for v in s}
+                               for s in x.all_simplices()])
+        f = simplicial.SimplicialMap(x, y, vmap)
+        assert_induced_against_oracle(f.chain_map())
+
+    # Cylinders of graphs: the order complex of anything larger is too
+    # big for the dense oracle.
+    @given(st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=2),
+                    min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=1),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_cylinder_retractions(self, faces, m, rng):
+        # Onto a point or onto the circle.
+        x = SimplicialComplex(faces)
+        y = simplicial.circle(3) if m else simplicial.full_simplex(0)
+        f = simplicial.SimplicialMap(
+            x, y, {v: rng.randint(0, 2 * m) for v in x.vertices()})
+        cyl = simplicial.mapping_cylinder(f)
+        assert_induced_against_oracle(cyl.retraction.chain_map())
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_degree_map_cylinders(self, p):
+        cyl = simplicial.mapping_cylinder(simplicial.degree_map_circle(p))
+        for f in (cyl.map, cyl.retraction):
+            assert_induced_against_oracle(f.chain_map())
 
 
 # -- clearing on the integral route ------------------------------------------

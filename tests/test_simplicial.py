@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,12 @@ from oracles import mp_pair_integral, pontryagin_integral
 
 def pairs(report, degrees):
     return {k: (report[k].free_rank, report[k].orders) for k in degrees}
+
+
+def complex_hash(x):
+    c = x.chain_complex()
+    data = (c.ranks, sorted(c._cols.items()))
+    return sha256(repr(data).encode()).hexdigest()
 
 
 class TestBuilders:
@@ -214,6 +221,58 @@ class TestMappingCylinder:
         assert all(not any(row) for row in rep.matrix)
 
 
+# SHA-256 of the chain columns of L_1 .. L_3, of the two cones and of the
+# two bonding chain maps, as the nested labels gave them: positions sort as
+# the labels did, so the flat labels must give the same columns.
+STAGE_HASHES = {
+    2: {
+        "stages": (
+            "110526ef82e0e5876c4d42e765eeb9d5bd1b19c8585024e7bc3dd1836a0640d9",
+            "ede9cb3c5682ec889f0eed5044220b3a1c08289d4ff771754d808336f7f15ecf",
+            "f7fcc888c0ba8855b9a67a81c2d92ec9727c208f89fe02ad228825ec8da05b82",
+        ),
+        "cones": (
+            "03f8107aee89344dc2eebf2fff4de94bcdd113d60aca608628ea68c3245abae8",
+            "e11ec071747fe1fe3c501455d13d06394da03c36ce9aae60e521b7492d627bce",
+        ),
+        "bondings": (
+            "a96798302269bc7d6c5b4f2572f4598ed1fcab82f1ce2f7037bf66f56926a62f",
+            "5824812d7b3b4867e9e9e6aba40f5e9253fd3049c2e6c65803a6c79eca9c2821",
+        ),
+    },
+    3: {
+        "stages": (
+            "110526ef82e0e5876c4d42e765eeb9d5bd1b19c8585024e7bc3dd1836a0640d9",
+            "69d16f15eac3461d3dcadd832aa37ffc304a0bb9061b9f4788fdaa0476714fde",
+            "e83fd02a2edf693fefaddb33e9e95dea10ac45dcf1b29d9d8b6554e35201bdfd",
+        ),
+        "cones": (
+            "b9330ff5a3b40ff04d275d20657611de1ae166717b3b764639f511b09f7f67a6",
+            "50fe93ba99fa1380195c8e912ee04120f9a61541976bad40abd43cb435c07e41",
+        ),
+        "bondings": (
+            "f2ef598325fdafee32067bc1cca04da278ecf19d33228796624a8545b2e50ef5",
+            "039befedb518c756511c0d2446d21e89f8e28e5f60b7112642f38e0a471693de",
+        ),
+    },
+    5: {
+        "stages": (
+            "110526ef82e0e5876c4d42e765eeb9d5bd1b19c8585024e7bc3dd1836a0640d9",
+            "cd89b73f864cebaebc0e8923ec5eb2ec3369dd658cc3310ba7aaef658d7ff708",
+            "ed5d0f7422190ab931348b04ed1311f5551567e5b44155c35e86b5ca4ef4e4f6",
+        ),
+        "cones": (
+            "fa13cb99ea5c74ea9d3d3db9bd532294f7a00b3c3f135e98943c30bac5de92ca",
+            "94403718c8ebe195555d3682802a31d20bd6d4a62b740c2eba50147cba7e9c59",
+        ),
+        "bondings": (
+            "7700fa69a2209fdcd140710f36dd1b5a77758532cddc2418f750f6285041c5b0",
+            "57e9448694e32fe6387332c68a696ccc58b7f1bb03d01bc761483da708f6cad9",
+        ),
+    },
+}
+
+
 class TestPontryaginStages:
     def test_stage_guards(self):
         with pytest.raises(ValueError):
@@ -262,6 +321,25 @@ class TestPontryaginStages:
         stages, _ = pontryagin_stage(2, 2)
         for l in stages[1:]:
             assert not cohomology_of(l, Zmod(2))[2].is_zero
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_chain_columns_pinned(self, p):
+        stages, bondings = pontryagin_stage(p, 2)
+        assert STAGE_HASHES[p] == {
+            "stages": tuple(complex_hash(x) for x in stages),
+            "cones": tuple(complex_hash(q.target) for q in bondings),
+            "bondings": tuple(sha256(repr(sorted(
+                q.chain_map()._cols.items())).encode()).hexdigest()
+                for q in bondings),
+        }
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_labels_are_flat(self, p):
+        # No label of L_3 or of a cone nests a label of the stage before.
+        stages, bondings = pontryagin_stage(p, 2)
+        for x in [stages[-1]] + [q.target for q in bondings]:
+            for v in x.vertices():
+                assert all(isinstance(part, (str, int)) for part in v), v
 
 
 class TestEdwardsWalsh:
