@@ -768,11 +768,11 @@ class _Reducer:
         self.p = p
         self.kept = {}
 
-    def _clear(self, vec, coords):
+    def reduce(self, vec, coords):
         """Clear kept pivots from vec in place, bottom row first,
         subtracting the same multiples of their coordinates from coords
-        when both carry any.  Returns the pivot row left in vec, or -1
-        when nothing is left."""
+        when both carry any (coords may be None).  Returns the pivot row
+        left in vec, or -1 when nothing is left."""
         p = self.p
         kept = self.kept
         while vec:
@@ -803,18 +803,11 @@ class _Reducer:
                             del target[i]
         return -1
 
-    def reduce(self, vec, coords):
-        """Clear kept pivots from vec in place, subtracting the same
-        multiples of their coordinates from coords (None for none);
-        returns what is left of vec."""
-        self._clear(vec, coords)
-        return vec
-
     def add(self, vec, coords):
         """Reduce vec and keep what is left under its pivot; returns
         whether anything was kept.  Both arguments are taken over;
         coords may be None."""
-        low = self._clear(vec, coords)
+        low = self.reduce(vec, coords)
         if low < 0:
             return False
         lead = vec[low]
@@ -948,7 +941,7 @@ def _field_induced(cm: ChainMap, degree, coeff, dual):
         if p:
             image = {i: w for i, v in image.items() if (w := v % p)}
         coords = {}
-        if space_t.reduce(image, coords):
+        if space_t.reduce(image, coords) >= 0:
             raise ValueError("vector is not a cycle in this degree")
         images.append({j: -v % p if p else -v for j, v in coords.items()})
     n_s, n_t = len(reps_s), len(reps_t)
