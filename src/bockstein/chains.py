@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .groups import Q as Q_GROUP
 from .groups import Z as Z_GROUP
@@ -561,8 +561,10 @@ def _invariant_factors(orders):
     Each order is merged into the chain: Z/f + Z/n = Z/gcd + Z/lcm, and
     the lcm carries on up.  Once n divides f, every merge above only
     moves the chain up one place, so n is inserted there instead: b
-    equal orders cost b steps, not b^2 / 2.  Nothing is factored, so
-    huge prime orders cost no more than small ones.
+    equal orders cost b steps, not b^2 / 2.  A gcd of 1 is a trivial
+    summand and is dropped at once, so b pairwise coprime orders keep
+    the chain short and cost b steps too.  Nothing is factored, so huge
+    prime orders cost no more than small ones.
 
     >>> _invariant_factors([2, 3])
     (6,)
@@ -572,14 +574,22 @@ def _invariant_factors(orders):
     factors = []
     for n in orders:
         if n > 1:
-            for i, f in enumerate(factors):
+            i = 0
+            while i < len(factors):
+                f = factors[i]
                 if f % n == 0:
                     factors.insert(i, n)
                     break
-                factors[i], n = gcd(f, n), lcm(f, n)
+                g = gcd(f, n)
+                n = f // g * n
+                if g > 1:
+                    factors[i] = g
+                    i += 1
+                else:
+                    del factors[i]
             else:
                 factors.append(n)
-    return tuple(f for f in factors if f > 1)
+    return tuple(factors)
 
 
 class GroupReport:

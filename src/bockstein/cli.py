@@ -587,13 +587,14 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~3.0 s (stages 1 at p = 829,
-# 99 526 cells) and ~1.4 s (stages 2 at p = 7, 72 574 cells).  Refused
-# runs would still finish: stages 1 at p = 997 (119 686 cells) takes
-# ~3.4 s, stages 2 at p = 11 (175 294 cells) ~4.2 s.  The limit stays
-# where it was: stages 1 near it still takes ~3 s, and its largest cost
-# is the pivot search in the reduction of long cycles (a max over the
-# whole vector at every elimination step).
+# and Q.  Its largest admitted runs take ~2.6 s (stages 1 at p = 829,
+# 99 526 cells) and ~1.0 s (stages 2 at p = 7, 72 574 cells) as CLI
+# processes (medians of 5).  Refused runs would still finish: stages 1
+# at p = 997 (119 686 cells) takes ~2.6 s in the process, stages 2 at
+# p = 11 (175 294 cells) ~2.4 s.  The limit stays where it was: stages
+# 1 near it still takes ~2.5 s, and its largest cost is the pivot search
+# in the reduction of long cycles (a max over the whole vector at every
+# elimination step).
 _MAX_PONTRYAGIN_CELLS = 100_000
 
 

@@ -12,6 +12,14 @@ comparable with its peers.  Cylinders nest the simplices they come
 from; a Pontryagin stage names each new vertex by a tag and the
 positions of the previous stage's vertices, so its labels stay flat
 tuples of a tag and ints at every stage.
+
+A complex looks its simplices up by label only through an index built
+on first use.  Pontryagin stages never need it: each stage, and the cone
+its bonding map lands in, lists in every degree one block per triangle
+of the stage before, each laid out as the replacement of a single
+triangle, then the shared subdivided 1-skeleton.  So their simplices,
+chain complexes and bonding chain maps are emitted in basis order from
+that one-triangle template.
 """
 
 from __future__ import annotations
@@ -54,6 +62,13 @@ def _boundary_column(s, index, scale):
                   for i in range(len(s) - 1, -1, -1)])
 
 
+def _sorted_by_degree(closed):
+    by_dim = {}
+    for s in closed:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return {k: tuple(sorted(v)) for k, v in by_dim.items()}
+
+
 def _perm_sign(values):
     sign = 1
     vals = list(values)
@@ -76,7 +91,7 @@ class SimplicialComplex:
     (3, 3)
     """
 
-    __slots__ = ("_by_dim", "_index", "_chain")
+    __slots__ = ("_by_dim", "_lookup", "_chain")
 
     def __init__(self, simplices):
         seen = set()
@@ -88,27 +103,39 @@ class SimplicialComplex:
                 raise ValueError("the empty simplex is not allowed")
             for k in range(1, len(t) + 1):
                 seen.update(combinations(t, k))
-        self._install(seen)
+        self._install(_sorted_by_degree(seen))
 
     @classmethod
     def _make(cls, closed):
         """Trusted constructor: closed is a collection of distinct,
         sorted, nondegenerate simplices, closed under faces.  Nothing is
         checked or closed."""
+        return cls._from_sorted(_sorted_by_degree(closed))
+
+    @classmethod
+    def _from_sorted(cls, by_dim, chain=None):
+        """Trusted constructor: by_dim maps each degree to the tuple of
+        its simplices, as _make would sort them, and chain, when given,
+        is the chain complex that chain_complex would build.  Nothing is
+        checked or sorted."""
         x = cls.__new__(cls)
-        x._install(closed)
+        x._install(by_dim, chain)
         return x
 
-    def _install(self, closed):
-        by_dim = {}
-        for s in closed:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {k: tuple(sorted(v)) for k, v in by_dim.items()}
-        self._index = {}
-        for k, ss in self._by_dim.items():
-            for n, s in enumerate(ss):
-                self._index[s] = (k, n)
-        self._chain = None
+    def _install(self, by_dim, chain=None):
+        self._by_dim = by_dim
+        self._lookup = None
+        self._chain = chain
+
+    @property
+    def _index(self):
+        """Each simplex's (degree, position), built on first use: only
+        label lookups (has, indices_of, and chain data built from
+        labels) need it."""
+        if self._lookup is None:
+            self._lookup = {s: (k, n) for k, ss in self._by_dim.items()
+                            for n, s in enumerate(ss)}
+        return self._lookup
 
     @property
     def dim(self):
@@ -191,12 +218,13 @@ class SimplicialMap:
     """A simplicial map given on vertices; images of simplices are
     checked to be simplices of the target (collapses are allowed)."""
 
-    __slots__ = ("source", "target", "vertex_map")
+    __slots__ = ("source", "target", "vertex_map", "_chain")
 
     def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
         self.vertex_map = dict(vertex_map)
+        self._chain = None
         for v in source.vertices():
             if v not in self.vertex_map:
                 raise ValueError(f"vertex {v!r} has no image")
@@ -210,22 +238,26 @@ class SimplicialMap:
                     f"image of {s!r} is not a simplex of the target")
 
     @classmethod
-    def _make(cls, source, target, vertex_map):
+    def _make(cls, source, target, vertex_map, chain=None):
         """Trusted constructor: vertex_map is a dict defined on every
-        source vertex and carrying simplices to simplices.  Nothing is
-        checked."""
+        source vertex and carrying simplices to simplices, and chain,
+        when given, is the chain map that chain_map would build.  Nothing
+        is checked."""
         f = cls.__new__(cls)
         f.source = source
         f.target = target
         f.vertex_map = vertex_map
+        f._chain = chain
         return f
 
     def image(self, simplex):
         return tuple(sorted(set(self.vertex_map[v] for v in simplex)))
 
     def chain_map(self):
-        """The induced map of simplicial chain complexes.  Simplices
-        collapsed by the vertex map contribute zero."""
+        """The induced map of simplicial chain complexes, cached.
+        Simplices collapsed by the vertex map contribute zero."""
+        if self._chain is not None:
+            return self._chain
         index = self.target._index
         vmap = self.vertex_map
         columns = {}
@@ -246,8 +278,10 @@ class SimplicialMap:
                 else:
                     raise KeyError(t)
             columns[k] = tuple(cols)
-        return chains.ChainMap._make(self.source.chain_complex(),
-                                     self.target.chain_complex(), columns)
+        self._chain = chains.ChainMap._make(self.source.chain_complex(),
+                                            self.target.chain_complex(),
+                                            columns)
+        return self._chain
 
     def __repr__(self):
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
@@ -405,6 +439,56 @@ def _subdivided_cycle(tri, p):
     return cyc
 
 
+def _one_triangle(p):
+    """The replacement of the single triangle (0, 1, 2), built from
+    labels: (stage, cone, chain map of the bonding).  Every copy in a
+    real stage is laid out as this one."""
+    cyl = mapping_cylinder(degree_map_circle(p, 3))
+    cyc = _subdivided_cycle((0, 1, 2), p)
+    label = {}
+    for v in cyl.complex.vertices():
+        side, s = v
+        if side == "L":
+            label[v] = ("c", 0, 1, 2) + s
+        elif len(s) == 1:
+            label[v] = cyc[2 * s[0]]
+        else:
+            # The edge (i, i + 1), or (0, 3p - 1) closing the circle.
+            i, j = s
+            label[v] = cyc[2 * i + 1 if j == i + 1 else 2 * j + 1]
+    stage = SimplicialComplex._make([tuple(sorted([label[v] for v in s]))
+                                     for s in cyl.complex.all_simplices()])
+    apex = ("a", 0, 1, 2)
+    edges = [tuple(sorted(e)) for e in zip(cyc, cyc[1:] + cyc[:1])]
+    cone = SimplicialComplex._make(
+        [(apex,)] + [(x,) for x in cyc] + [(apex, x) for x in cyc]
+        + edges + [(apex,) + e for e in edges])
+    bonding = SimplicialMap._make(
+        stage, cone, {x: apex if x[0] == "c" else x
+                      for (x,) in stage.simplices(0)})
+    return stage, cone, bonding.chain_map()
+
+
+def _blocks(x, head):
+    """Per degree of a one-triangle complex x whose first head vertices
+    are the copy's own: the number of simplices starting at one of them
+    (they sort first), each such simplex as an itemgetter of its
+    vertices' positions in x, and its boundary column as an itemgetter
+    of its entries in the list of x's rows of the degree below, each
+    with the sign 1, followed by the same rows with the sign -1."""
+    pos = {v: n for n, (v,) in enumerate(x.simplices(0))}
+    cols = x.chain_complex()._cols
+    out = []
+    for k in range(x.dim + 1):
+        block = [s for s in x.simplices(k) if pos[s[0]] < head]
+        below = len(x.simplices(k - 1))
+        out.append((len(block),
+                    [itemgetter(*[pos[v] for v in s]) for s in block],
+                    [itemgetter(*[r if v == 1 else below + r for r, v in col])
+                     for col in cols[k][:len(block)]] if k else []))
+    return out
+
+
 def _replace_triangles(l: SimplicialComplex, p):
     """One stage of triangle replacement: every 2-simplex of l becomes
     a copy of the mapping cylinder of the p-fold circle covering, glued
@@ -416,73 +500,101 @@ def _replace_triangles(l: SimplicialComplex, p):
     on the edge (i, j), and inside the triangle (i, j, k) the apex
     ('a', i, j, k) or ('c', i, j, k) followed by the simplex of the
     covered circle whose barycentre the vertex is.  Positions sort as the
-    labels of l do, so every sorted order is the one the labels would
-    give, and no label nests those of the stage before.  Both complexes
-    are collected closed under faces, each simplex sorted, and built by
-    the trusted constructors.
+    labels of l do, so no label nests those of the stage before.
+
+    Nothing is sorted or looked up by label: the sorted order is known.
+    A simplex with a 'c' (or, in the cone, an 'a') vertex sorts by that
+    vertex, so in every degree these come first, one block per triangle
+    of l in l's order, each laid out as the replacement of the single
+    triangle (0, 1, 2), built once from labels.  The rest is the shared,
+    subdivided 1-skeleton of l: the 2p - 1 'e' vertices of each edge of
+    l, then the 'o' vertices, then the 2p edges of each edge of l, in
+    l's order.  So every row of a boundary or bonding column is a block
+    offset plus a row of the one-triangle copy, or a shared row computed
+    from the edge positions that l's own chain complex lists.  Both
+    complexes come with their chain complexes, the bonding with its
+    chain map, and their label indexes are built only if looked up.
     """
-    cyl = mapping_cylinder(degree_map_circle(p, 3))
-    corners = cyl.complex.vertices()
-    interiors = [m for m, (side, _) in enumerate(corners) if side == "L"]
+    stage1, cone1, bonding1 = _one_triangle(p)
+    blocks = (_blocks(stage1, 6), _blocks(cone1, 1))
+    suffixes = [v[4:] for (v,) in stage1.simplices(0)[:6]]
+    lc = l.chain_complex()
+    nv, ne, nt = lc.ranks
+    ends = [(col[0][0], col[1][0]) for col in lc._cols[1]]
+    # A triangle's column lists its edges (a, b), (a, c), (b, c).
+    tris = [ends[col[0][0]] + (ends[col[2][0]][1], col[0][0], col[1][0],
+                                col[2][0]) for col in lc._cols[2]]
+    m = 2 * p - 1
+    elabels = [[("e", u, v, i) for i in range(1, 2 * p)] for u, v in ends]
+    olabels = [("o", i) for i in range(nv)]
+    shared0 = [(x,) for e in elabels for x in e] + [(x,) for x in olabels]
+    shared1 = []
+    for (u, v), e in zip(ends, elabels):
+        # The path o_u, e_1 .. e_m, o_v, each edge led by its 'e' end.
+        shared1 += [(e[0], e[1]), (e[0], olabels[u]), *zip(e[1:-1], e[2:]),
+                    (e[-1], olabels[v])]
 
-    def relabel(tri, cyc):
-        """The labels that the cylinder's vertices, in corners order,
-        take in the copy that replaces tri."""
-        out = []
-        for side, s in corners:
-            if side == "L":
-                out.append(("c",) + tri + s)
-            elif len(s) == 1:
-                out.append(cyc[2 * s[0]])
-            else:
-                # The edge (i, i + 1), or (0, 3p - 1) closing the circle.
-                i, j = s
-                out.append(cyc[2 * i + 1 if j == i + 1 else 2 * j + 1])
-        return out
+    def build(blocks, heads):
+        (b0, _, _), (b1, picks1, bounds1), (_, picks2, bounds2) = blocks
+        v0, e0 = b0 * nt, b1 * nt       # the first shared vertex and edge
+        o0 = v0 + ne * m                # the first 'o' vertex
+        by_dim = ([], [], [])
+        cols1, cols2 = [], []
+        for t, (a, b, c, ab, ac, bc) in enumerate(tris):
+            own = heads[t]
+            labels = (own + elabels[ab] + elabels[ac] + elabels[bc]
+                      + [olabels[a], olabels[b], olabels[c]])
+            rows0 = [*range(b0 * t, b0 * t + b0),
+                     *range(v0 + ab * m, v0 + ab * m + m),
+                     *range(v0 + ac * m, v0 + ac * m + m),
+                     *range(v0 + bc * m, v0 + bc * m + m),
+                     o0 + a, o0 + b, o0 + c]
+            rows1 = [*range(b1 * t, b1 * t + b1),
+                     *range(e0 + 2 * p * ab, e0 + 2 * p * ab + 2 * p),
+                     *range(e0 + 2 * p * ac, e0 + 2 * p * ac + 2 * p),
+                     *range(e0 + 2 * p * bc, e0 + 2 * p * bc + 2 * p)]
+            by_dim[0].extend([(x,) for x in own])
+            by_dim[1].extend([g(labels) for g in picks1])
+            by_dim[2].extend([g(labels) for g in picks2])
+            entries = [(r, 1) for r in rows0] + [(r, -1) for r in rows0]
+            cols1.extend([g(entries) for g in bounds1])
+            entries = [(r, 1) for r in rows1] + [(r, -1) for r in rows1]
+            cols2.extend([g(entries) for g in bounds2])
+        by_dim[0].extend(shared0)
+        by_dim[1].extend(shared1)
+        for n, (u, v) in enumerate(ends):
+            r = v0 + n * m              # the row of e_1 on the edge n
+            cols1 += [((r, -1), (r + 1, 1)), ((r, -1), (o0 + u, 1)),
+                      *(((i, -1), (i + 1, 1)) for i in range(r + 1, r + m - 1)),
+                      ((r + m - 1, -1), (o0 + v, 1))]
+        by_dim = {k: tuple(ss) for k, ss in enumerate(by_dim)}
+        chain = chains.ChainComplex._make(
+            tuple(len(ss) for ss in by_dim.values()),
+            {1: tuple(cols1), 2: tuple(cols2)})
+        return SimplicialComplex._from_sorted(by_dim, chain)
 
-    # Within one copy, labels compare by tag, then by corner positions
-    # a < b < c, then by steps or cylinder simplices: as in the copy over
-    # (0, 1, 2).  So one sort of each cylinder simplex serves every copy.
-    where = {v: m for m, v in enumerate(corners)}
-    template = relabel((0, 1, 2), _subdivided_cycle((0, 1, 2), p))
-    pick = [itemgetter(*sorted([where[v] for v in s],
-                               key=template.__getitem__))
-            for s in cyl.complex.all_simplices() if len(s) > 1]
-    pos = {v: i for i, (v,) in enumerate(l.simplices(0))}
-    # The subdivided 1-skeleton of l is shared by both complexes; the
-    # bonding map fixes its vertices.
-    bonding = {("o", i): ("o", i) for i in range(len(pos))}
-    shared = set()
-    for (u, v) in l.simplices(1):
-        u, v = pos[u], pos[v]
-        path = [("o", u)]
-        path.extend(("e", u, v, i) for i in range(1, 2 * p))
-        path.append(("o", v))
-        shared.update((x, y) if x < y else (y, x)
-                      for x, y in zip(path, path[1:]))
-        for x in path[1:-1]:
-            bonding[x] = x
-    shared.update((x,) for x in bonding)
-    simplices = set(shared)
-    cone_simplices = set(shared)
-    for tri in l.simplices(2):
-        tri = (pos[tri[0]], pos[tri[1]], pos[tri[2]])
-        cyc = _subdivided_cycle(tri, p)
-        labels = relabel(tri, cyc)
-        simplices.update((x,) for x in labels)
-        simplices.update([g(labels) for g in pick])
-        # The apex label sorts before every label of the cycle.
-        apex = ("a",) + tri
-        cone_simplices.add((apex,))
-        for m in range(6 * p):
-            x, y = cyc[m], cyc[(m + 1) % (6 * p)]
-            cone_simplices.add((apex, x))
-            cone_simplices.add((apex, x, y) if x < y else (apex, y, x))
-        for m in interiors:
-            bonding[labels[m]] = apex
-    nxt = SimplicialComplex._make(simplices)
-    cone = SimplicialComplex._make(cone_simplices)
-    return nxt, cone, SimplicialMap._make(nxt, cone, bonding)
+    cheads = [[("c", a, b, c) + s for s in suffixes]
+              for a, b, c, *_ in tris]
+    apexes = [("a", a, b, c) for a, b, c, *_ in tris]
+    nxt = build(blocks[0], cheads)
+    cone = build(blocks[1], [[x] for x in apexes])
+    # The bonding fixes the shared skeleton and sends each copy onto the
+    # cone over its triangle, collapsing what has two 'c' vertices.
+    columns = {}
+    for k, shared in enumerate((len(shared0), len(shared1), 0)):
+        bs, bc = blocks[0][k][0], blocks[1][k][0]
+        block = bonding1._cols.get(k, ())[:bs]
+        columns[k] = tuple(
+            [((bc * t + col[0][0], col[0][1]),) if col else ()
+             for t in range(nt) for col in block]
+            + [((bc * nt + i, 1),) for i in range(shared)])
+    vmap = {x: x for (x,) in shared0}
+    for own, apex in zip(cheads, apexes):
+        vmap.update(dict.fromkeys(own, apex))
+    return nxt, cone, SimplicialMap._make(
+        nxt, cone, vmap,
+        chains.ChainMap._make(nxt.chain_complex(), cone.chain_complex(),
+                              columns))
 
 
 def pontryagin_stage(p, k):
@@ -498,7 +610,12 @@ def pontryagin_stage(p, k):
     L_1 has the vertices 0 .. 3; later stages and the cones have flat
     labels such as ('o', i), ('e', i, j, t), ('c', i, j, k, ...) and
     ('a', i, j, k), whose ints are positions in the sorted vertex list
-    of the stage before (see _replace_triangles).
+    of the stage before.  Each later stage, and each cone, lists in
+    every degree first one block per triangle of the stage before (the
+    simplices with a 'c' or 'a' vertex), then the shared subdivided
+    1-skeleton; it is built with its chain complex, the bonding with
+    its chain map, straight from that layout, and the label index is
+    built only when a label is looked up (see _replace_triangles).
     """
     check_prime(p)
     if k not in (1, 2):

@@ -287,3 +287,93 @@ def induced_rank_oracle(d_source, d_target_up, f, p):
                for i, b in enumerate(bounds)]
     rank = rank_rational if p is None else (lambda m: rank_mod_p(m, p))
     return rank(stacked) - (rank(d_target_up) if d_target_up else 0)
+
+
+# -- Pontryagin stages by labels ---------------------------------------------
+
+def _subdivided_cycle(tri, p):
+    """The 6p-gon boundary of a triangle whose edges carry 2p - 1
+    interior points each, as flat labels: ('o', i) at a corner and
+    ('e', u, v, i) on the edge u < v, i steps from u."""
+    a, b, c = tri
+    cyc = [("o", a)]
+    cyc.extend(("e", a, b, i) for i in range(1, 2 * p))
+    cyc.append(("o", b))
+    cyc.extend(("e", b, c, i) for i in range(1, 2 * p))
+    cyc.append(("o", c))
+    cyc.extend(("e", a, c, i) for i in range(2 * p - 1, 0, -1))
+    return cyc
+
+
+def replace_triangles_by_labels(l, p):
+    """One Pontryagin stage built from labels alone: the reference for
+    the library's index-native builder.  Returns (next stage, cone
+    retriangulation of l, bonding map), every complex collected closed
+    under faces and sorted by the generic trusted constructor, so its
+    chain complex and the bonding's chain map come from label lookups.
+
+    Every 2-simplex of l becomes a copy of the mapping cylinder of the
+    p-fold circle covering, glued along the subdivided boundary.  A new
+    vertex is named by the positions, in l.simplices(0), of the vertices
+    of l it comes from: ('o', i), ('e', i, j, t), ('c', i, j, k) followed
+    by the covered circle's simplex, and the cone apex ('a', i, j, k).
+    """
+    from operator import itemgetter
+
+    from bockstein.simplicial import (
+        SimplicialComplex, SimplicialMap, degree_map_circle,
+        mapping_cylinder)
+
+    cyl = mapping_cylinder(degree_map_circle(p, 3))
+    corners = cyl.complex.vertices()
+    interiors = [m for m, (side, _) in enumerate(corners) if side == "L"]
+
+    def relabel(tri, cyc):
+        out = []
+        for side, s in corners:
+            if side == "L":
+                out.append(("c",) + tri + s)
+            elif len(s) == 1:
+                out.append(cyc[2 * s[0]])
+            else:
+                i, j = s
+                out.append(cyc[2 * i + 1 if j == i + 1 else 2 * j + 1])
+        return out
+
+    where = {v: m for m, v in enumerate(corners)}
+    template = relabel((0, 1, 2), _subdivided_cycle((0, 1, 2), p))
+    pick = [itemgetter(*sorted([where[v] for v in s],
+                               key=template.__getitem__))
+            for s in cyl.complex.all_simplices() if len(s) > 1]
+    pos = {v: i for i, (v,) in enumerate(l.simplices(0))}
+    bonding = {("o", i): ("o", i) for i in range(len(pos))}
+    shared = set()
+    for (u, v) in l.simplices(1):
+        u, v = pos[u], pos[v]
+        path = [("o", u)]
+        path.extend(("e", u, v, i) for i in range(1, 2 * p))
+        path.append(("o", v))
+        shared.update((x, y) if x < y else (y, x)
+                      for x, y in zip(path, path[1:]))
+        for x in path[1:-1]:
+            bonding[x] = x
+    shared.update((x,) for x in bonding)
+    simplices = set(shared)
+    cone_simplices = set(shared)
+    for tri in l.simplices(2):
+        tri = (pos[tri[0]], pos[tri[1]], pos[tri[2]])
+        cyc = _subdivided_cycle(tri, p)
+        labels = relabel(tri, cyc)
+        simplices.update((x,) for x in labels)
+        simplices.update([g(labels) for g in pick])
+        apex = ("a",) + tri
+        cone_simplices.add((apex,))
+        for m in range(6 * p):
+            x, y = cyc[m], cyc[(m + 1) % (6 * p)]
+            cone_simplices.add((apex, x))
+            cone_simplices.add((apex, x, y) if x < y else (apex, y, x))
+        for m in interiors:
+            bonding[labels[m]] = apex
+    nxt = SimplicialComplex._make(simplices)
+    cone = SimplicialComplex._make(cone_simplices)
+    return nxt, cone, SimplicialMap._make(nxt, cone, bonding)

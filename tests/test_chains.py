@@ -1,10 +1,11 @@
 import time
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import prime, primerange
 
 from bockstein.chains import (
     ChainComplex, ChainMap, GroupReport, field_betti, homology, cohomology,
@@ -373,6 +374,14 @@ class TestInvariantFactors:
         mixed = (p, p * p) * 1000
         assert _invariant_factors(mixed) == merged_factors(mixed)
         assert GroupReport(0, orders, Z).orders == orders
+
+    def test_pairwise_coprime_orders(self):
+        # A coprime merge leaves a trivial factor; it must not stay in
+        # the chain for every later merge to walk.
+        primes = list(primerange(2, prime(2000) + 1))
+        orders = primes[:500] * 2
+        assert _invariant_factors(orders) == merged_factors(orders)
+        assert _invariant_factors(primes) == (prod(primes),)
 
 
 def merged_factors(orders):

@@ -16,7 +16,9 @@ from bockstein.simplicial import (
 )
 from bockstein.chains import induced_map as chain_induced
 
-from oracles import mp_pair_integral, pontryagin_integral
+from oracles import (
+    mp_pair_integral, pontryagin_integral, replace_triangles_by_labels,
+)
 
 
 def pairs(report, degrees):
@@ -332,6 +334,31 @@ class TestPontryaginStages:
                 q.chain_map()._cols.items())).encode()).hexdigest()
                 for q in bondings),
         }
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_label_builder(self, p):
+        # Stages, cones and bondings emitted in index order equal the
+        # reference built from labels alone: simplex lists, label index,
+        # chain columns, vertex map and bonding columns.
+        stages, bondings = pontryagin_stage(p, 2)
+        before = boundary_simplex(3)
+        for stage, q in zip(stages[1:], bondings):
+            assert q.source is stage
+            want_stage, want_cone, want_q = replace_triangles_by_labels(
+                before, p)
+            for got, want in ((stage, want_stage), (q.target, want_cone)):
+                assert got._lookup is None      # no label looked up yet
+                assert got._by_dim == want._by_dim
+                got_c, want_c = got.chain_complex(), want.chain_complex()
+                assert (got_c.ranks, got_c._cols) == (want_c.ranks,
+                                                      want_c._cols)
+                assert got._index == want._index
+            assert q.vertex_map == want_q.vertex_map
+            cm = q.chain_map()
+            assert cm.source is stage.chain_complex()
+            assert cm.target is q.target.chain_complex()
+            assert cm._cols == want_q.chain_map()._cols
+            before = want_stage
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_labels_are_flat(self, p):
