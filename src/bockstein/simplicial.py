@@ -525,12 +525,13 @@ def _replace_triangles(l: SimplicialComplex, p):
     tris = [ends[col[0][0]] + (ends[col[2][0]][1], col[0][0], col[1][0],
                                 col[2][0]) for col in lc._cols[2]]
     m = 2 * p - 1
-    elabels = [[("e", u, v, i) for i in range(1, 2 * p)] for u, v in ends]
+    elabels = [("e", u, v, i) for u, v in ends for i in range(1, 2 * p)]
     olabels = [("o", i) for i in range(nv)]
-    shared0 = [(x,) for e in elabels for x in e] + [(x,) for x in olabels]
+    shared0 = [(x,) for x in elabels] + [(x,) for x in olabels]
     shared1 = []
-    for (u, v), e in zip(ends, elabels):
+    for n, (u, v) in enumerate(ends):
         # The path o_u, e_1 .. e_m, o_v, each edge led by its 'e' end.
+        e = elabels[n * m:n * m + m]
         shared1 += [(e[0], e[1]), (e[0], olabels[u]), *zip(e[1:-1], e[2:]),
                     (e[-1], olabels[v])]
 
@@ -538,39 +539,46 @@ def _replace_triangles(l: SimplicialComplex, p):
         (b0, _, _), (b1, picks1, bounds1), (_, picks2, bounds2) = blocks
         v0, e0 = b0 * nt, b1 * nt       # the first shared vertex and edge
         o0 = v0 + ne * m                # the first 'o' vertex
-        by_dim = ([], [], [])
-        cols1, cols2 = [], []
+        n0, n1 = o0 + nv, e0 + 2 * p * ne
+
+        def copy0(x, t, a, b, c, ab, ac, bc):
+            """Of x, one entry per vertex, those of the copy over the
+            triangle t = (a, b, c), in the one-triangle order."""
+            return (x[b0 * t:b0 * t + b0] + x[v0 + ab * m:v0 + ab * m + m]
+                    + x[v0 + ac * m:v0 + ac * m + m]
+                    + x[v0 + bc * m:v0 + bc * m + m]
+                    + [x[o0 + a], x[o0 + b], x[o0 + c]])
+
+        def copy1(x, t, ab, ac, bc):
+            """The same for one entry per edge."""
+            return (x[b1 * t:b1 * t + b1]
+                    + x[e0 + 2 * p * ab:e0 + 2 * p * (ab + 1)]
+                    + x[e0 + 2 * p * ac:e0 + 2 * p * (ac + 1)]
+                    + x[e0 + 2 * p * bc:e0 + 2 * p * (bc + 1)])
+
+        # Each entry (row, sign) of a boundary column is built once.
+        plus0, minus0 = [(r, 1) for r in range(n0)], [(r, -1) for r in range(n0)]
+        plus1, minus1 = [(r, 1) for r in range(n1)], [(r, -1) for r in range(n1)]
+        labels = [x for own in heads for x in own] + elabels + olabels
+        simplices1, simplices2, cols1, cols2 = [], [], [], []
         for t, (a, b, c, ab, ac, bc) in enumerate(tris):
-            own = heads[t]
-            labels = (own + elabels[ab] + elabels[ac] + elabels[bc]
-                      + [olabels[a], olabels[b], olabels[c]])
-            rows0 = [*range(b0 * t, b0 * t + b0),
-                     *range(v0 + ab * m, v0 + ab * m + m),
-                     *range(v0 + ac * m, v0 + ac * m + m),
-                     *range(v0 + bc * m, v0 + bc * m + m),
-                     o0 + a, o0 + b, o0 + c]
-            rows1 = [*range(b1 * t, b1 * t + b1),
-                     *range(e0 + 2 * p * ab, e0 + 2 * p * ab + 2 * p),
-                     *range(e0 + 2 * p * ac, e0 + 2 * p * ac + 2 * p),
-                     *range(e0 + 2 * p * bc, e0 + 2 * p * bc + 2 * p)]
-            by_dim[0].extend([(x,) for x in own])
-            by_dim[1].extend([g(labels) for g in picks1])
-            by_dim[2].extend([g(labels) for g in picks2])
-            entries = [(r, 1) for r in rows0] + [(r, -1) for r in rows0]
-            cols1.extend([g(entries) for g in bounds1])
-            entries = [(r, 1) for r in rows1] + [(r, -1) for r in rows1]
-            cols2.extend([g(entries) for g in bounds2])
-        by_dim[0].extend(shared0)
-        by_dim[1].extend(shared1)
+            copy = copy0(labels, t, a, b, c, ab, ac, bc)
+            simplices1 += [g(copy) for g in picks1]
+            simplices2 += [g(copy) for g in picks2]
+            entries = (copy0(plus0, t, a, b, c, ab, ac, bc)
+                       + copy0(minus0, t, a, b, c, ab, ac, bc))
+            cols1 += [g(entries) for g in bounds1]
+            entries = copy1(plus1, t, ab, ac, bc) + copy1(minus1, t, ab, ac, bc)
+            cols2 += [g(entries) for g in bounds2]
         for n, (u, v) in enumerate(ends):
             r = v0 + n * m              # the row of e_1 on the edge n
-            cols1 += [((r, -1), (r + 1, 1)), ((r, -1), (o0 + u, 1)),
-                      *(((i, -1), (i + 1, 1)) for i in range(r + 1, r + m - 1)),
-                      ((r + m - 1, -1), (o0 + v, 1))]
-        by_dim = {k: tuple(ss) for k, ss in enumerate(by_dim)}
+            cols1 += [(minus0[r], plus0[r + 1]), (minus0[r], plus0[o0 + u]),
+                      *zip(minus0[r + 1:r + m - 1], plus0[r + 2:r + m]),
+                      (minus0[r + m - 1], plus0[o0 + v])]
+        by_dim = {0: tuple([(x,) for x in labels[:v0]] + shared0),
+                  1: tuple(simplices1 + shared1), 2: tuple(simplices2)}
         chain = chains.ChainComplex._make(
-            tuple(len(ss) for ss in by_dim.values()),
-            {1: tuple(cols1), 2: tuple(cols2)})
+            (n0, n1, len(simplices2)), {1: tuple(cols1), 2: tuple(cols2)})
         return SimplicialComplex._from_sorted(by_dim, chain)
 
     cheads = [[("c", a, b, c) + s for s in suffixes]
@@ -579,16 +587,23 @@ def _replace_triangles(l: SimplicialComplex, p):
     nxt = build(blocks[0], cheads)
     cone = build(blocks[1], [[x] for x in apexes])
     # The bonding fixes the shared skeleton and sends each copy onto the
-    # cone over its triangle, collapsing what has two 'c' vertices.
+    # cone over its triangle, collapsing what has two 'c' vertices.  A
+    # copy's simplex starts at its 'c' vertex and its image at the apex,
+    # the rest in the same order, so every entry is 1: per copy, one
+    # itemgetter picks each column among the cone's one-entry columns of
+    # that triangle's block and the empty column.
     columns = {}
-    for k, shared in enumerate((len(shared0), len(shared1), 0)):
+    for k, rank in enumerate(cone.chain_complex().ranks):
         bs, bc = blocks[0][k][0], blocks[1][k][0]
-        block = bonding1._cols.get(k, ())[:bs]
-        columns[k] = tuple(
-            [((bc * t + col[0][0], col[0][1]),) if col else ()
-             for t in range(nt) for col in block]
-            + [((bc * nt + i, 1),) for i in range(shared)])
-    vmap = {x: x for (x,) in shared0}
+        unit = [((r, 1),) for r in range(rank)]
+        pick = itemgetter(*[col[0][0] if col else bc for col in
+                            bonding1._cols.get(k, ((),) * bs)[:bs]])
+        cols = []
+        for t in range(nt):
+            cols += pick(unit[bc * t:bc * t + bc] + [()])
+        columns[k] = tuple(cols + unit[bc * nt:])
+    vmap = {x: x for x in elabels}
+    vmap.update((x, x) for x in olabels)
     for own, apex in zip(cheads, apexes):
         vmap.update(dict.fromkeys(own, apex))
     return nxt, cone, SimplicialMap._make(
