@@ -557,8 +557,10 @@ def _replace_triangles(l: SimplicialComplex, p):
                     + x[e0 + 2 * p * bc:e0 + 2 * p * (bc + 1)])
 
         # Each entry (row, sign) of a boundary column is built once.
-        plus0, minus0 = [(r, 1) for r in range(n0)], [(r, -1) for r in range(n0)]
-        plus1, minus1 = [(r, 1) for r in range(n1)], [(r, -1) for r in range(n1)]
+        plus0 = [(r, 1) for r in range(n0)]
+        minus0 = [(r, -1) for r in range(n0)]
+        plus1 = [(r, 1) for r in range(n1)]
+        minus1 = [(r, -1) for r in range(n1)]
         labels = [x for own in heads for x in own] + elabels + olabels
         simplices1, simplices2, cols1, cols2 = [], [], [], []
         for t, (a, b, c, ab, ac, bc) in enumerate(tris):
@@ -568,7 +570,8 @@ def _replace_triangles(l: SimplicialComplex, p):
             entries = (copy0(plus0, t, a, b, c, ab, ac, bc)
                        + copy0(minus0, t, a, b, c, ab, ac, bc))
             cols1 += [g(entries) for g in bounds1]
-            entries = copy1(plus1, t, ab, ac, bc) + copy1(minus1, t, ab, ac, bc)
+            entries = (copy1(plus1, t, ab, ac, bc)
+                       + copy1(minus1, t, ab, ac, bc))
             cols2 += [g(entries) for g in bounds2]
         for n, (u, v) in enumerate(ends):
             r = v0 + n * m              # the row of e_1 on the edge n
