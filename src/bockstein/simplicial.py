@@ -181,8 +181,9 @@ class SimplicialComplex:
             return self._chain
         top = max(self.dim, 0)
         ranks = tuple(len(self.simplices(k)) for k in range(top + 1))
+        index = self._index
         self._chain = chains.ChainComplex._make(ranks, {
-            k: tuple(_boundary_column(s, self._index, 1)
+            k: tuple(_boundary_column(s, index, 1)
                      for s in self.simplices(k))
             for k in range(1, top + 1)})
         return self._chain
@@ -669,7 +670,8 @@ def ew_skeleton(k_complex: SimplicialComplex, group, n):
         raise ValueError(f"Edwards-Walsh groups are Z or Z/p: {group!r}")
     tops = k_complex.simplices(n + 1)
     ranks = tuple(base.rank(k) for k in range(n + 1)) + (len(tops),)
-    attach = tuple(_boundary_column(s, skel._index, group.p) for s in tops)
+    index = skel._index
+    attach = tuple(_boundary_column(s, index, group.p) for s in tops)
     ew = chains.ChainComplex._make(ranks, {**base._cols, n + 1: attach})
     return ew, chains.ChainMap._make(base, ew, ident)
 
