@@ -606,8 +606,7 @@ def _replace_triangles(l: SimplicialComplex, p):
         for t in range(nt):
             cols += pick(unit[bc * t:bc * t + bc] + [()])
         columns[k] = tuple(cols + unit[bc * nt:])
-    vmap = {x: x for x in elabels}
-    vmap.update((x, x) for x in olabels)
+    vmap = {x: x for x in elabels + olabels}
     for own, apex in zip(cheads, apexes):
         vmap.update(dict.fromkeys(own, apex))
     return nxt, cone, SimplicialMap._make(
