@@ -14,10 +14,12 @@ Z/p^k (k > 1) and the Pruefer group Z(p^inf) are derived from the
 integral answer through universal coefficients.  Integral induced maps
 use the dense form with its unimodular transforms.  The field route (Q
 and Z/p) is one sparse column reducer over a field given by p: None for
-Q, else the prime.  Kept columns are scaled so each pivot is 1, so its
-elimination loop never divides.  It supplies Betti numbers, homology
-bases and induced maps, and stays exact and fast on complexes far too
-large for dense elimination.
+Q, else the prime.  A kept column carries the inverse of its pivot
+entry, so its elimination loop never divides, and a boundary column
+that meets no kept pivot is kept as the frozen tuple it came as, not
+copied.  It supplies Betti numbers, homology bases and induced maps,
+and stays exact and fast on complexes far too large for dense
+elimination.
 
 Boundary and chain-map matrices are stored as frozen sparse columns:
 tuples of (row, value) pairs, rows ascending, zeros dropped.  Chain
@@ -761,15 +763,35 @@ def _field_prime(coeff):
     return None if coeff is Q_GROUP else coeff.p
 
 
+def _inverse(lead, p):
+    """The inverse of a nonzero field entry: mod p, or exact over Q."""
+    if p:
+        return pow(lead, -1, p)
+    if lead == 1 or lead == -1:
+        return lead
+    # Integral inverses keep entries ints.
+    inv = 1 / Fraction(lead)
+    return inv.numerator if inv.denominator == 1 else inv
+
+
 class _Reducer:
     """Sparse columns with distinct pivots, kept by pivot row.
 
-    A column's pivot is its largest nonzero row.  Each kept column is
-    scaled so its pivot entry is 1 and is kept with its coordinates,
-    which every operation on the column applies alike: homology
-    representatives carry a basis vector, kernel columns the
-    combination of original columns they came from.  Image columns and
-    untracked reductions carry None and do no coordinate work.
+    A column's pivot is its largest nonzero row.  kept maps it to
+    (entries, coords, inv): the column's (row, value) pairs, unscaled,
+    the inverse of its pivot entry, so that eliminating with it never
+    divides, and its coordinates, which every operation on the column
+    applies alike: homology representatives carry a basis vector, kernel
+    columns the combination of original columns they came from.  Image
+    columns and untracked reductions carry None and do no coordinate
+    work.
+
+    A frozen boundary column whose pivot row no kept column owns, and
+    whose pivot entry does not vanish mod p, is kept as the tuple
+    itself; only a column that meets a kept pivot is copied into a dict
+    and reduced, and then kept as that dict's items.  The other entries
+    of a frozen column may vanish mod p (Edwards-Walsh attaching maps,
+    Moore spaces), so the elimination loop deletes only keys it finds.
     """
 
     __slots__ = ("p", "kept")
@@ -790,22 +812,25 @@ class _Reducer:
             owner = kept.get(low)
             if owner is None:
                 return low
-            factor = vec[low]
-            column, column_coords = owner
+            column, column_coords, inv = owner
             pairs = ((vec, column),)
             if column_coords and coords is not None:
-                pairs += ((coords, column_coords),)
-            for target, source in pairs:
-                get = target.get
-                if p:
-                    for i, v in source.items():
+                pairs += ((coords, column_coords.items()),)
+            if p:
+                factor = vec[low] * inv % p
+                for target, source in pairs:
+                    get = target.get
+                    for i, v in source:
                         w = (get(i, 0) - factor * v) % p
                         if w:
                             target[i] = w
-                        else:
+                        elif i in target:
                             del target[i]
-                else:
-                    for i, v in source.items():
+            else:
+                factor = vec[low] * inv
+                for target, source in pairs:
+                    get = target.get
+                    for i, v in source:
                         w = get(i, 0) - factor * v
                         if w:
                             target[i] = w
@@ -815,31 +840,22 @@ class _Reducer:
 
     def add(self, vec, coords):
         """Reduce vec and keep what is left under its pivot; returns
-        whether anything was kept.  Both arguments are taken over;
-        coords may be None."""
+        whether anything was kept.  vec is a dict over the field, taken
+        over, or a frozen column, which is kept as it is or copied (see
+        the class).  coords is taken over and may be None."""
+        p = self.p
+        kept = self.kept
+        if vec.__class__ is tuple:
+            if vec:
+                low, lead = vec[-1]
+                if low not in kept and (not p or lead % p):
+                    kept[low] = (vec, coords, _inverse(lead, p))
+                    return True
+            vec = {i: w for i, v in vec if (w := v % p)} if p else dict(vec)
         low = self.reduce(vec, coords)
         if low < 0:
             return False
-        lead = vec[low]
-        if lead != 1:
-            p = self.p
-            if p:
-                inv = pow(lead, -1, p)
-            elif lead == -1:
-                inv = -1
-            else:
-                # Integral inverses keep entries ints.
-                inv = 1 / Fraction(lead)
-                if inv.denominator == 1:
-                    inv = inv.numerator
-            for d in (vec, coords) if coords else (vec,):
-                if p:
-                    for i, v in d.items():
-                        d[i] = v * inv % p
-                else:
-                    for i, v in d.items():
-                        d[i] = v * inv
-        self.kept[low] = (vec, coords)
+        kept[low] = (vec.items(), coords, _inverse(vec[low], p))
         return True
 
 
@@ -866,10 +882,8 @@ def _boundary_reducer(c: ChainComplex, k, p, cleared=(), kernel=None):
     for j, col in enumerate(c._columns(k)):
         if j in cleared:
             continue
-        # A fresh vector over the field, since add takes it over.
-        vec = {i: w for i, v in col if (w := v % p)} if p else dict(col)
         combo = {j: 1} if track else None
-        if not add(vec, combo) and track:
+        if not add(col, combo) and track:
             kernel.append(combo)
     return reducer
 

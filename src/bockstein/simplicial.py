@@ -17,9 +17,11 @@ A complex looks its simplices up by label only through an index built
 on first use.  Pontryagin stages never need it: each stage, and the cone
 its bonding map lands in, lists in every degree one block per triangle
 of the stage before, each laid out as the replacement of a single
-triangle, then the shared subdivided 1-skeleton.  So their simplices,
-chain complexes and bonding chain maps are emitted in basis order from
-that one-triangle template.
+triangle, then the shared subdivided 1-skeleton.  So their chain
+complexes and bonding chain maps are emitted in basis order from that
+one-triangle template, and their simplices and the bondings' vertex
+maps are made from the same layout only when a caller first reads them:
+homology, f-vectors and induced maps read no label.
 """
 
 from __future__ import annotations
@@ -84,14 +86,17 @@ class SimplicialComplex:
 
     Simplices are sorted tuples of vertex labels.  The constructor
     accepts any iterable of simplices (maximal ones suffice) and closes
-    it downward.
+    it downward.  A complex the library builds with its chain complex
+    may make its simplices only on first read (see _lazy); dim and
+    f_vector then read the chain ranks, and every read of a simplex,
+    has, == and hash make them.
 
     >>> s = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
     >>> s.f_vector()
     (3, 3)
     """
 
-    __slots__ = ("_by_dim", "_lookup", "_chain")
+    __slots__ = ("_degrees", "_build", "_lookup", "_chain")
 
     def __init__(self, simplices):
         seen = set()
@@ -110,22 +115,34 @@ class SimplicialComplex:
         """Trusted constructor: closed is a collection of distinct,
         sorted, nondegenerate simplices, closed under faces.  Nothing is
         checked or closed."""
-        return cls._from_sorted(_sorted_by_degree(closed))
-
-    @classmethod
-    def _from_sorted(cls, by_dim, chain=None):
-        """Trusted constructor: by_dim maps each degree to the tuple of
-        its simplices, as _make would sort them, and chain, when given,
-        is the chain complex that chain_complex would build.  Nothing is
-        checked or sorted."""
         x = cls.__new__(cls)
-        x._install(by_dim, chain)
+        x._install(_sorted_by_degree(closed))
         return x
 
-    def _install(self, by_dim, chain=None):
-        self._by_dim = by_dim
+    @classmethod
+    def _lazy(cls, build, chain):
+        """Trusted constructor: chain is the chain complex that
+        chain_complex would build, and build() returns each degree's
+        tuple of simplices, as _make would sort them.  build runs on the
+        first read of a simplex; nothing is checked or sorted."""
+        x = cls.__new__(cls)
+        x._install(None, chain, build)
+        return x
+
+    def _install(self, by_dim, chain=None, build=None):
+        self._degrees = by_dim
+        self._build = build
         self._lookup = None
         self._chain = chain
+
+    @property
+    def _by_dim(self):
+        """Each degree's tuple of simplices, built on first use when the
+        complex came with a builder (see _lazy)."""
+        if self._degrees is None:
+            self._degrees = self._build()
+            self._build = None
+        return self._degrees
 
     @property
     def _index(self):
@@ -139,7 +156,7 @@ class SimplicialComplex:
 
     @property
     def dim(self):
-        return max(self._by_dim) if self._by_dim else -1
+        return len(self.f_vector()) - 1
 
     def simplices(self, k):
         return self._by_dim.get(k, ())
@@ -155,8 +172,11 @@ class SimplicialComplex:
         return tuple(sorted(simplex)) in self._index
 
     def f_vector(self):
-        return tuple(len(self.simplices(k))
-                     for k in range(self.dim + 1))
+        if self._degrees is None:
+            # The simplices are not built yet; the chain ranks count them.
+            return self._chain.ranks
+        # Closed under faces, so the degrees run 0 .. dim.
+        return tuple(len(self._degrees[k]) for k in range(len(self._degrees)))
 
     def euler(self):
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
@@ -179,13 +199,12 @@ class SimplicialComplex:
         so maps over the same complex share the object."""
         if self._chain is not None:
             return self._chain
-        top = max(self.dim, 0)
-        ranks = tuple(len(self.simplices(k)) for k in range(top + 1))
+        ranks = self.f_vector() or (0,)
         index = self._index
         self._chain = chains.ChainComplex._make(ranks, {
             k: tuple(_boundary_column(s, index, 1)
                      for s in self.simplices(k))
-            for k in range(1, top + 1)})
+            for k in range(1, len(ranks))})
         return self._chain
 
     def indices_of(self, sub):
@@ -219,12 +238,13 @@ class SimplicialMap:
     """A simplicial map given on vertices; images of simplices are
     checked to be simplices of the target (collapses are allowed)."""
 
-    __slots__ = ("source", "target", "vertex_map", "_chain")
+    __slots__ = ("source", "target", "_vertex_map", "_build", "_chain")
 
     def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
-        self.vertex_map = dict(vertex_map)
+        self._vertex_map = dict(vertex_map)
+        self._build = None
         self._chain = None
         for v in source.vertices():
             if v not in self.vertex_map:
@@ -247,9 +267,26 @@ class SimplicialMap:
         f = cls.__new__(cls)
         f.source = source
         f.target = target
-        f.vertex_map = vertex_map
+        f._vertex_map = vertex_map
+        f._build = None
         f._chain = chain
         return f
+
+    @classmethod
+    def _lazy(cls, source, target, build, chain):
+        """Trusted constructor: chain is the chain map that chain_map
+        would build, and build() returns the vertex map; it runs on the
+        first read of vertex_map.  Nothing is checked."""
+        f = cls._make(source, target, None, chain)
+        f._build = build
+        return f
+
+    @property
+    def vertex_map(self):
+        if self._vertex_map is None:
+            self._vertex_map = self._build()
+            self._build = None
+        return self._vertex_map
 
     def image(self, simplex):
         return tuple(sorted(set(self.vertex_map[v] for v in simplex)))
@@ -442,7 +479,11 @@ def _subdivided_cycle(tri, p):
 
 def _one_triangle(p):
     """The replacement of the single triangle (0, 1, 2), built from
-    labels: (stage, cone, chain map of the bonding).  Every copy in a
+    labels and read off for _replace_triangles: the blocks (see
+    _blocks) of the stage and of the cone, the label suffixes of the
+    stage's six 'c' vertices, and per degree an itemgetter that picks
+    each bonding column of the stage's block among the cone's block of
+    one-entry columns followed by the empty column.  Every copy in a
     real stage is laid out as this one."""
     cyl = mapping_cylinder(degree_map_circle(p, 3))
     cyc = _subdivided_cycle((0, 1, 2), p)
@@ -466,8 +507,13 @@ def _one_triangle(p):
         + edges + [(apex,) + e for e in edges])
     bonding = SimplicialMap._make(
         stage, cone, {x: apex if x[0] == "c" else x
-                      for (x,) in stage.simplices(0)})
-    return stage, cone, bonding.chain_map()
+                      for (x,) in stage.simplices(0)}).chain_map()._cols
+    blocks = (_blocks(stage, 6), _blocks(cone, 1))
+    suffixes = [v[4:] for (v,) in stage.simplices(0)[:6]]
+    picks = [itemgetter(*[col[0][0] if col else bc
+                          for col in bonding.get(k, ((),) * bs)[:bs]])
+             for k, ((bs, _, _), (bc, _, _)) in enumerate(zip(*blocks))]
+    return blocks, suffixes, picks
 
 
 def _blocks(x, head):
@@ -490,11 +536,11 @@ def _blocks(x, head):
     return out
 
 
-def _replace_triangles(l: SimplicialComplex, p):
+def _replace_triangles(l: SimplicialComplex, p, template):
     """One stage of triangle replacement: every 2-simplex of l becomes
     a copy of the mapping cylinder of the p-fold circle covering, glued
-    along the subdivided boundary.  Returns (next stage, cone
-    retriangulation of l, bonding map).
+    along the subdivided boundary.  template is _one_triangle(p).
+    Returns (next stage, cone retriangulation of l, bonding map).
 
     A new vertex is named by the positions, in l.simplices(0), of the
     vertices of l it comes from: ('o', i) for vertex i, ('e', i, j, t)
@@ -507,18 +553,18 @@ def _replace_triangles(l: SimplicialComplex, p):
     A simplex with a 'c' (or, in the cone, an 'a') vertex sorts by that
     vertex, so in every degree these come first, one block per triangle
     of l in l's order, each laid out as the replacement of the single
-    triangle (0, 1, 2), built once from labels.  The rest is the shared,
-    subdivided 1-skeleton of l: the 2p - 1 'e' vertices of each edge of
-    l, then the 'o' vertices, then the 2p edges of each edge of l, in
-    l's order.  So every row of a boundary or bonding column is a block
-    offset plus a row of the one-triangle copy, or a shared row computed
-    from the edge positions that l's own chain complex lists.  Both
-    complexes come with their chain complexes, the bonding with its
-    chain map, and their label indexes are built only if looked up.
+    triangle (0, 1, 2).  The rest is the shared, subdivided 1-skeleton
+    of l: the 2p - 1 'e' vertices of each edge of l, then the 'o'
+    vertices, then the 2p edges of each edge of l, in l's order.  So
+    every row of a boundary or bonding column is a block offset plus a
+    row of the one-triangle copy, or a shared row computed from the edge
+    positions that l's own chain complex lists.  Only l's chain complex
+    is read.  Both complexes come with their chain complexes and the
+    bonding with its chain map; their simplices, label indexes and the
+    bonding's vertex map are built from the same layout only when a
+    caller reads them.
     """
-    stage1, cone1, bonding1 = _one_triangle(p)
-    blocks = (_blocks(stage1, 6), _blocks(cone1, 1))
-    suffixes = [v[4:] for (v,) in stage1.simplices(0)[:6]]
+    blocks, suffixes, picks = template
     lc = l.chain_complex()
     nv, ne, nt = lc.ranks
     ends = [(col[0][0], col[1][0]) for col in lc._cols[1]]
@@ -526,18 +572,20 @@ def _replace_triangles(l: SimplicialComplex, p):
     tris = [ends[col[0][0]] + (ends[col[2][0]][1], col[0][0], col[1][0],
                                 col[2][0]) for col in lc._cols[2]]
     m = 2 * p - 1
-    elabels = [("e", u, v, i) for u, v in ends for i in range(1, 2 * p)]
-    olabels = [("o", i) for i in range(nv)]
-    shared0 = [(x,) for x in elabels] + [(x,) for x in olabels]
-    shared1 = []
-    for n, (u, v) in enumerate(ends):
-        # The path o_u, e_1 .. e_m, o_v, each edge led by its 'e' end.
-        e = elabels[n * m:n * m + m]
-        shared1 += [(e[0], e[1]), (e[0], olabels[u]), *zip(e[1:-1], e[2:]),
-                    (e[-1], olabels[v])]
+
+    def shared():
+        """The labels of the shared 'e' and 'o' vertices, in order."""
+        return ([("e", u, v, i) for u, v in ends for i in range(1, 2 * p)]
+                + [("o", i) for i in range(nv)])
+
+    def cheads():
+        return [("c", a, b, c) + s for a, b, c, *_ in tris for s in suffixes]
+
+    def apexes():
+        return [("a", a, b, c) for a, b, c, *_ in tris]
 
     def build(blocks, heads):
-        (b0, _, _), (b1, picks1, bounds1), (_, picks2, bounds2) = blocks
+        (b0, _, _), (b1, picks1, bounds1), (b2, picks2, bounds2) = blocks
         v0, e0 = b0 * nt, b1 * nt       # the first shared vertex and edge
         o0 = v0 + ne * m                # the first 'o' vertex
         n0, n1 = o0 + nv, e0 + 2 * p * ne
@@ -562,12 +610,8 @@ def _replace_triangles(l: SimplicialComplex, p):
         minus0 = [(r, -1) for r in range(n0)]
         plus1 = [(r, 1) for r in range(n1)]
         minus1 = [(r, -1) for r in range(n1)]
-        labels = [x for own in heads for x in own] + elabels + olabels
-        simplices1, simplices2, cols1, cols2 = [], [], [], []
+        cols1, cols2 = [], []
         for t, (a, b, c, ab, ac, bc) in enumerate(tris):
-            copy = copy0(labels, t, a, b, c, ab, ac, bc)
-            simplices1 += [g(copy) for g in picks1]
-            simplices2 += [g(copy) for g in picks2]
             entries = (copy0(plus0, t, a, b, c, ab, ac, bc)
                        + copy0(minus0, t, a, b, c, ab, ac, bc))
             cols1 += [g(entries) for g in bounds1]
@@ -579,17 +623,28 @@ def _replace_triangles(l: SimplicialComplex, p):
             cols1 += [(minus0[r], plus0[r + 1]), (minus0[r], plus0[o0 + u]),
                       *zip(minus0[r + 1:r + m - 1], plus0[r + 2:r + m]),
                       (minus0[r + m - 1], plus0[o0 + v])]
-        by_dim = {0: tuple([(x,) for x in labels[:v0]] + shared0),
-                  1: tuple(simplices1 + shared1), 2: tuple(simplices2)}
-        chain = chains.ChainComplex._make(
-            (n0, n1, len(simplices2)), {1: tuple(cols1), 2: tuple(cols2)})
-        return SimplicialComplex._from_sorted(by_dim, chain)
 
-    cheads = [[("c", a, b, c) + s for s in suffixes]
-              for a, b, c, *_ in tris]
-    apexes = [("a", a, b, c) for a, b, c, *_ in tris]
+        def simplices():
+            labels = heads() + shared()
+            simplices1, simplices2 = [], []
+            for t, (a, b, c, ab, ac, bc) in enumerate(tris):
+                copy = copy0(labels, t, a, b, c, ab, ac, bc)
+                simplices1 += [g(copy) for g in picks1]
+                simplices2 += [g(copy) for g in picks2]
+            for n, (u, v) in enumerate(ends):
+                # The path o_u, e_1 .. e_m, o_v, each edge led by its 'e'
+                # end.
+                e = labels[v0 + n * m:v0 + n * m + m]
+                simplices1 += [(e[0], e[1]), (e[0], labels[o0 + u]),
+                               *zip(e[1:-1], e[2:]), (e[-1], labels[o0 + v])]
+            return {0: tuple([(x,) for x in labels]),
+                    1: tuple(simplices1), 2: tuple(simplices2)}
+
+        return SimplicialComplex._lazy(simplices, chains.ChainComplex._make(
+            (n0, n1, b2 * nt), {1: tuple(cols1), 2: tuple(cols2)}))
+
     nxt = build(blocks[0], cheads)
-    cone = build(blocks[1], [[x] for x in apexes])
+    cone = build(blocks[1], apexes)
     # The bonding fixes the shared skeleton and sends each copy onto the
     # cone over its triangle, collapsing what has two 'c' vertices.  A
     # copy's simplex starts at its 'c' vertex and its image at the apex,
@@ -597,20 +652,21 @@ def _replace_triangles(l: SimplicialComplex, p):
     # itemgetter picks each column among the cone's one-entry columns of
     # that triangle's block and the empty column.
     columns = {}
-    for k, rank in enumerate(cone.chain_complex().ranks):
-        bs, bc = blocks[0][k][0], blocks[1][k][0]
+    for k, rank in enumerate(cone.f_vector()):
+        bc = blocks[1][k][0]
         unit = [((r, 1),) for r in range(rank)]
-        pick = itemgetter(*[col[0][0] if col else bc for col in
-                            bonding1._cols.get(k, ((),) * bs)[:bs]])
         cols = []
         for t in range(nt):
-            cols += pick(unit[bc * t:bc * t + bc] + [()])
+            cols += picks[k](unit[bc * t:bc * t + bc] + [()])
         columns[k] = tuple(cols + unit[bc * nt:])
-    vmap = {x: x for x in elabels + olabels}
-    for own, apex in zip(cheads, apexes):
-        vmap.update(dict.fromkeys(own, apex))
-    return nxt, cone, SimplicialMap._make(
-        nxt, cone, vmap,
+
+    def vertex_map():
+        vmap = {x: x for x in shared()}
+        vmap.update(zip(cheads(), [x for x in apexes() for _ in suffixes]))
+        return vmap
+
+    return nxt, cone, SimplicialMap._lazy(
+        nxt, cone, vertex_map,
         chains.ChainMap._make(nxt.chain_complex(), cone.chain_complex(),
                               columns))
 
@@ -631,17 +687,19 @@ def pontryagin_stage(p, k):
     of the stage before.  Each later stage, and each cone, lists in
     every degree first one block per triangle of the stage before (the
     simplices with a 'c' or 'a' vertex), then the shared subdivided
-    1-skeleton; it is built with its chain complex, the bonding with
-    its chain map, straight from that layout, and the label index is
-    built only when a label is looked up (see _replace_triangles).
+    1-skeleton.  It is built with its chain complex, the bonding with
+    its chain map, straight from that layout and from one template of
+    the single triangle; labels, the label index and the vertex map are
+    made only when a caller reads them (see _replace_triangles).
     """
     check_prime(p)
     if k not in (1, 2):
         raise ValueError(f"stage count must be 1 or 2: {k!r}")
+    template = _one_triangle(p)
     stages = [boundary_simplex(3)]
     bondings = []
     for _ in range(k):
-        nxt, _, q = _replace_triangles(stages[-1], p)
+        nxt, _, q = _replace_triangles(stages[-1], p, template)
         stages.append(nxt)
         bondings.append(q)
     return stages, bondings

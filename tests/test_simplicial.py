@@ -336,19 +336,24 @@ class TestPontryaginStages:
         }
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_matches_the_label_builder(self, p):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_the_label_builder(self, p, k):
         # Stages, cones and bondings emitted in index order equal the
         # reference built from labels alone: simplex lists, label index,
-        # chain columns, vertex map and bonding columns.
-        stages, bondings = pontryagin_stage(p, 2)
+        # chain columns, vertex map and bonding columns.  Their labels
+        # are made only here, when first read.
+        stages, bondings = pontryagin_stage(p, k)
         before = boundary_simplex(3)
         for stage, q in zip(stages[1:], bondings):
             assert q.source is stage
+            assert q._vertex_map is None
             want_stage, want_cone, want_q = replace_triangles_by_labels(
                 before, p)
             for got, want in ((stage, want_stage), (q.target, want_cone)):
-                assert got._lookup is None      # no label looked up yet
+                assert got._degrees is None     # no label made yet
+                assert got.f_vector() == want.f_vector()
                 assert got._by_dim == want._by_dim
+                assert got._lookup is None      # no label looked up yet
                 got_c, want_c = got.chain_complex(), want.chain_complex()
                 assert (got_c.ranks, got_c._cols) == (want_c.ranks,
                                                       want_c._cols)
@@ -359,6 +364,30 @@ class TestPontryaginStages:
             assert cm.target is q.target.chain_complex()
             assert cm._cols == want_q.chain_map()._cols
             before = want_stage
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_field_route_makes_no_labels(self, p):
+        # What homology over a field and the bonding checks read (chain
+        # complexes, f-vectors, cohomology, induced maps) comes from the
+        # chain data alone: no simplex, label index or vertex map is made.
+        stages, bondings = pontryagin_stage(p, 2)
+        lazy = stages[1:] + [q.target for q in bondings]
+        for x in stages + lazy:
+            x.chain_complex()
+            assert x.dim == 2 and x.euler() == x.chain_complex().euler()
+        for coeff in (Q, Zmod(p)):
+            cohomology_of(stages[-1], coeff)
+        for q in bondings:
+            assert induced(q, 2, Zmod(p), cohomology=True).iso
+            induced(q, 1, Q)
+        repr(stages[-1])
+        f_vectors = [x.f_vector() for x in lazy]
+        assert all(x._degrees is None and x._lookup is None for x in lazy)
+        assert all(q._vertex_map is None for q in bondings)
+        # Once made, the simplices count as the chain ranks did.
+        assert [tuple(map(len, (x.simplices(0), x.simplices(1),
+                                x.simplices(2)))) for x in lazy] == f_vectors
+        assert [x.f_vector() for x in lazy] == f_vectors
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_labels_are_flat(self, p):
