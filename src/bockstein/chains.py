@@ -767,7 +767,7 @@ def _inverse(lead, p):
     """The inverse of a nonzero field entry: mod p, or exact over Q."""
     if p:
         return pow(lead, -1, p)
-    if lead == 1 or lead == -1:
+    if lead == -1:
         return lead
     # Integral inverses keep entries ints.
     inv = 1 / Fraction(lead)
@@ -813,23 +813,20 @@ class _Reducer:
             if owner is None:
                 return low
             column, column_coords, inv = owner
+            factor = vec[low] * inv
             pairs = ((vec, column),)
             if column_coords and coords is not None:
                 pairs += ((coords, column_coords.items()),)
-            if p:
-                factor = vec[low] * inv % p
-                for target, source in pairs:
-                    get = target.get
+            for target, source in pairs:
+                get = target.get
+                if p:
                     for i, v in source:
                         w = (get(i, 0) - factor * v) % p
                         if w:
                             target[i] = w
                         elif i in target:
                             del target[i]
-            else:
-                factor = vec[low] * inv
-                for target, source in pairs:
-                    get = target.get
+                else:
                     for i, v in source:
                         w = get(i, 0) - factor * v
                         if w:
@@ -844,18 +841,19 @@ class _Reducer:
         over, or a frozen column, which is kept as it is or copied (see
         the class).  coords is taken over and may be None."""
         p = self.p
-        kept = self.kept
         if vec.__class__ is tuple:
-            if vec:
-                low, lead = vec[-1]
-                if low not in kept and (not p or lead % p):
-                    kept[low] = (vec, coords, _inverse(lead, p))
-                    return True
-            vec = {i: w for i, v in vec if (w := v % p)} if p else dict(vec)
-        low = self.reduce(vec, coords)
-        if low < 0:
-            return False
-        kept[low] = (vec.items(), coords, _inverse(vec[low], p))
+            low, lead = vec[-1] if vec else (-1, 0)
+            if low < 0 or low in self.kept or (p and not lead % p):
+                vec = ({i: w for i, v in vec if (w := v % p)} if p
+                       else dict(vec))
+        if vec.__class__ is dict:
+            low = self.reduce(vec, coords)
+            if low < 0:
+                return False
+            lead = vec[low]
+            vec = vec.items()
+        # Boundary leads are mostly 1.
+        self.kept[low] = (vec, coords, 1 if lead == 1 else _inverse(lead, p))
         return True
 
 
