@@ -587,12 +587,12 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~1.9 s (stages 1 at p = 829,
-# 99 526 cells) and ~0.7 s (stages 2 at p = 7, 72 574 cells) as CLI
+# and Q.  Its largest admitted runs take ~2.5 s (stages 1 at p = 829,
+# 99 526 cells) and ~0.8 s (stages 2 at p = 7, 72 574 cells) as CLI
 # processes (medians of 5).  Refused runs would still finish: stages 1
-# at p = 997 (119 686 cells) takes ~2.2 s in the process, stages 2 at
-# p = 11 (175 294 cells) ~1.6 s.  The limit stays where it was: stages
-# 1 near it still takes ~2 s, and its largest cost is the pivot search
+# at p = 997 (119 686 cells) takes ~3.2 s in the process, stages 2 at
+# p = 11 (175 294 cells) ~2.1 s.  The limit stays where it was: stages
+# 1 near it still takes ~2.5 s, and its largest cost is the pivot search
 # in the reduction of long cycles (a max over the whole vector at every
 # elimination step).
 _MAX_PONTRYAGIN_CELLS = 100_000

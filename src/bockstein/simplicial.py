@@ -632,8 +632,8 @@ def _replace_triangles(l: SimplicialComplex, p, template):
                 simplices1 += [g(copy) for g in picks1]
                 simplices2 += [g(copy) for g in picks2]
             for n, (u, v) in enumerate(ends):
-                # The path o_u, e_1 .. e_m, o_v, each edge led by its 'e'
-                # end.
+                # The path o_u, e_1 .. e_m, o_v; each edge is led by its
+                # 'e' end.
                 e = labels[v0 + n * m:v0 + n * m + m]
                 simplices1 += [(e[0], e[1]), (e[0], labels[o0 + u]),
                                *zip(e[1:-1], e[2:]), (e[-1], labels[o0 + v])]
