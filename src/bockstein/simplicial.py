@@ -19,9 +19,11 @@ its bonding map lands in, lists in every degree one block per triangle
 of the stage before, each laid out as the replacement of a single
 triangle, then the shared subdivided 1-skeleton.  So their chain
 complexes and bonding chain maps are emitted in basis order from that
-one-triangle template, and their simplices and the bondings' vertex
-maps are made from the same layout only when a caller first reads them:
-homology, f-vectors and induced maps read no label.
+one-triangle template, and the chain data is their one record: their
+simplices are read off the boundary columns, and the bondings' vertex
+maps off the degree-0 columns, only when a caller first reads them.
+Homology, f-vectors and induced maps read no label.  Edwards-Walsh
+skeleta, too, take their columns from the complex's chain complex.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ __all__ = [
 ]
 
 
-def _boundary_column(s, index, scale):
-    """The frozen boundary column of the sorted simplex s, times scale.
-    Dropping a later vertex leaves an earlier face, so the rows come out
-    ascending when i runs down."""
-    return tuple([(index[s[:i] + s[i + 1:]][1], -scale if i % 2 else scale)
+def _boundary_column(s, index):
+    """The frozen boundary column of the sorted simplex s.  Dropping a
+    later vertex leaves an earlier face, so the rows come out ascending
+    when i runs down."""
+    return tuple([(index[s[:i] + s[i + 1:]][1], -1 if i % 2 else 1)
                   for i in range(len(s) - 1, -1, -1)])
 
 
@@ -87,9 +89,9 @@ class SimplicialComplex:
     Simplices are sorted tuples of vertex labels.  The constructor
     accepts any iterable of simplices (maximal ones suffice) and closes
     it downward.  A complex the library builds with its chain complex
-    may make its simplices only on first read (see _lazy); dim and
-    f_vector then read the chain ranks, and every read of a simplex,
-    has, == and hash make them.
+    may read its simplices off that chain complex on first use (see
+    _lazy); dim and f_vector then read the chain ranks, and every read
+    of a simplex, has, == and hash make them.
 
     >>> s = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
     >>> s.f_vector()
@@ -120,13 +122,14 @@ class SimplicialComplex:
         return x
 
     @classmethod
-    def _lazy(cls, build, chain):
+    def _lazy(cls, vertices, chain):
         """Trusted constructor: chain is the chain complex that
-        chain_complex would build, and build() returns each degree's
-        tuple of simplices, as _make would sort them.  build runs on the
-        first read of a simplex; nothing is checked or sorted."""
+        chain_complex would build, with every degree in sorted order, and
+        vertices() returns the sorted vertex labels.  The simplices are
+        read off chain on the first read of one (see _by_dim); nothing
+        is checked."""
         x = cls.__new__(cls)
-        x._install(None, chain, build)
+        x._install(None, chain, vertices)
         return x
 
     def _install(self, by_dim, chain=None, build=None):
@@ -137,11 +140,23 @@ class SimplicialComplex:
 
     @property
     def _by_dim(self):
-        """Each degree's tuple of simplices, built on first use when the
-        complex came with a builder (see _lazy)."""
+        """Each degree's tuple of simplices.  A complex made by _lazy
+        reads them off its boundary columns on first use: a simplex's
+        vertices are those of its faces (any two of them cover it),
+        taken as positions in the sorted vertex list, which sort as the
+        labels do.  Each degree keeps the order of its columns."""
         if self._degrees is None:
-            self._degrees = self._build()
+            labels = self._build()
             self._build = None
+            cols = self._chain._cols
+            faces = [(i,) for i in range(len(labels))]
+            degrees = {0: tuple([(v,) for v in labels])}
+            for k in range(1, len(self._chain.ranks)):
+                faces = [tuple(sorted({*faces[col[0][0]], *faces[col[1][0]]}))
+                         for col in cols[k]]
+                degrees[k] = tuple([tuple([labels[v] for v in s])
+                                    for s in faces])
+            self._degrees = degrees
         return self._degrees
 
     @property
@@ -202,7 +217,7 @@ class SimplicialComplex:
         ranks = self.f_vector() or (0,)
         index = self._index
         self._chain = chains.ChainComplex._make(ranks, {
-            k: tuple(_boundary_column(s, index, 1)
+            k: tuple(_boundary_column(s, index)
                      for s in self.simplices(k))
             for k in range(1, len(ranks))})
         return self._chain
@@ -238,19 +253,21 @@ class SimplicialMap:
     """A simplicial map given on vertices; images of simplices are
     checked to be simplices of the target (collapses are allowed)."""
 
-    __slots__ = ("source", "target", "_vertex_map", "_build", "_chain")
+    __slots__ = ("source", "target", "_vertex_map", "_chain")
 
     def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
         self._vertex_map = dict(vertex_map)
-        self._build = None
         self._chain = None
         for v in source.vertices():
             if v not in self.vertex_map:
                 raise ValueError(f"vertex {v!r} has no image")
+        src_vertices = set(source.vertices())
         tgt_vertices = set(target.vertices())
         for v, w in self.vertex_map.items():
+            if v not in src_vertices:
+                raise ValueError(f"vertex {v!r} is not in the source")
             if w not in tgt_vertices:
                 raise ValueError(f"image vertex {w!r} is not in the target")
         for s in source.all_simplices():
@@ -262,30 +279,26 @@ class SimplicialMap:
     def _make(cls, source, target, vertex_map, chain=None):
         """Trusted constructor: vertex_map is a dict defined on every
         source vertex and carrying simplices to simplices, and chain,
-        when given, is the chain map that chain_map would build.  Nothing
-        is checked."""
+        when given, is the chain map that chain_map would build.  Given
+        chain, vertex_map may be None: it is then read off chain on
+        first use (see vertex_map).  Nothing is checked."""
         f = cls.__new__(cls)
         f.source = source
         f.target = target
         f._vertex_map = vertex_map
-        f._build = None
         f._chain = chain
-        return f
-
-    @classmethod
-    def _lazy(cls, source, target, build, chain):
-        """Trusted constructor: chain is the chain map that chain_map
-        would build, and build() returns the vertex map; it runs on the
-        first read of vertex_map.  Nothing is checked."""
-        f = cls._make(source, target, None, chain)
-        f._build = build
         return f
 
     @property
     def vertex_map(self):
+        """The image of each source vertex.  A map made with its chain
+        map alone reads it on first use off the degree-0 columns: the
+        column of the j-th source vertex holds one row, the position of
+        its image among the target's vertices."""
         if self._vertex_map is None:
-            self._vertex_map = self._build()
-            self._build = None
+            tv = self.target.vertices()
+            self._vertex_map = {v: tv[col[0][0]] for v, col in zip(
+                self.source.vertices(), self._chain._cols[0])}
         return self._vertex_map
 
     def image(self, simplex):
@@ -481,10 +494,11 @@ def _one_triangle(p):
     """The replacement of the single triangle (0, 1, 2), built from
     labels and read off for _replace_triangles: the blocks (see
     _blocks) of the stage and of the cone, the label suffixes of the
-    stage's six 'c' vertices, and per degree an itemgetter that picks
-    each bonding column of the stage's block among the cone's block of
-    one-entry columns followed by the empty column.  Every copy in a
-    real stage is laid out as this one."""
+    stage's six 'c' vertices, which name the vertices of every copy,
+    and per degree an itemgetter that picks each bonding column of the
+    stage's block among the cone's block of one-entry columns followed
+    by the empty column.  Every copy in a real stage is laid out as this
+    one; only its chain columns and vertex labels are read."""
     cyl = mapping_cylinder(degree_map_circle(p, 3))
     cyc = _subdivided_cycle((0, 1, 2), p)
     label = {}
@@ -512,27 +526,27 @@ def _one_triangle(p):
     suffixes = [v[4:] for (v,) in stage.simplices(0)[:6]]
     picks = [itemgetter(*[col[0][0] if col else bc
                           for col in bonding.get(k, ((),) * bs)[:bs]])
-             for k, ((bs, _, _), (bc, _, _)) in enumerate(zip(*blocks))]
+             for k, ((bs, _), (bc, _)) in enumerate(zip(*blocks))]
     return blocks, suffixes, picks
 
 
 def _blocks(x, head):
     """Per degree of a one-triangle complex x whose first head vertices
     are the copy's own: the number of simplices starting at one of them
-    (they sort first), each such simplex as an itemgetter of its
-    vertices' positions in x, and its boundary column as an itemgetter
-    of its entries in the list of x's rows of the degree below, each
-    with the sign 1, followed by the same rows with the sign -1."""
-    pos = {v: n for n, (v,) in enumerate(x.simplices(0))}
+    (they sort first), and the boundary column of each such simplex as
+    an itemgetter of its entries in the list of x's rows of the degree
+    below, each with the sign 1, followed by the same rows with the sign
+    -1.  The chain columns are all a copy needs: its simplices are read
+    off them (see SimplicialComplex._by_dim)."""
+    own = set(x.vertices()[:head])
     cols = x.chain_complex()._cols
     out = []
     for k in range(x.dim + 1):
-        block = [s for s in x.simplices(k) if pos[s[0]] < head]
+        size = sum(s[0] in own for s in x.simplices(k))
         below = len(x.simplices(k - 1))
-        out.append((len(block),
-                    [itemgetter(*[pos[v] for v in s]) for s in block],
+        out.append((size,
                     [itemgetter(*[r if v == 1 else below + r for r, v in col])
-                     for col in cols[k][:len(block)]] if k else []))
+                     for col in cols[k][:size]] if k else []))
     return out
 
 
@@ -560,9 +574,9 @@ def _replace_triangles(l: SimplicialComplex, p, template):
     row of the one-triangle copy, or a shared row computed from the edge
     positions that l's own chain complex lists.  Only l's chain complex
     is read.  Both complexes come with their chain complexes and the
-    bonding with its chain map; their simplices, label indexes and the
-    bonding's vertex map are built from the same layout only when a
-    caller reads them.
+    bonding with its chain map, which are their one record: the complexes
+    list only their vertex labels, and their simplices and the bonding's
+    vertex map are read off the columns when a caller first reads them.
     """
     blocks, suffixes, picks = template
     lc = l.chain_complex()
@@ -578,14 +592,8 @@ def _replace_triangles(l: SimplicialComplex, p, template):
         return ([("e", u, v, i) for u, v in ends for i in range(1, 2 * p)]
                 + [("o", i) for i in range(nv)])
 
-    def cheads():
-        return [("c", a, b, c) + s for a, b, c, *_ in tris for s in suffixes]
-
-    def apexes():
-        return [("a", a, b, c) for a, b, c, *_ in tris]
-
-    def build(blocks, heads):
-        (b0, _, _), (b1, picks1, bounds1), (b2, picks2, bounds2) = blocks
+    def build(blocks, vertices):
+        (b0, _), (b1, bounds1), (b2, bounds2) = blocks
         v0, e0 = b0 * nt, b1 * nt       # the first shared vertex and edge
         o0 = v0 + ne * m                # the first 'o' vertex
         n0, n1 = o0 + nv, e0 + 2 * p * ne
@@ -624,27 +632,13 @@ def _replace_triangles(l: SimplicialComplex, p, template):
                       *zip(minus0[r + 1:r + m - 1], plus0[r + 2:r + m]),
                       (minus0[r + m - 1], plus0[o0 + v])]
 
-        def simplices():
-            labels = heads() + shared()
-            simplices1, simplices2 = [], []
-            for t, (a, b, c, ab, ac, bc) in enumerate(tris):
-                copy = copy0(labels, t, a, b, c, ab, ac, bc)
-                simplices1 += [g(copy) for g in picks1]
-                simplices2 += [g(copy) for g in picks2]
-            for n, (u, v) in enumerate(ends):
-                # The path o_u, e_1 .. e_m, o_v; each edge is led by its
-                # 'e' end.
-                e = labels[v0 + n * m:v0 + n * m + m]
-                simplices1 += [(e[0], e[1]), (e[0], labels[o0 + u]),
-                               *zip(e[1:-1], e[2:]), (e[-1], labels[o0 + v])]
-            return {0: tuple([(x,) for x in labels]),
-                    1: tuple(simplices1), 2: tuple(simplices2)}
-
-        return SimplicialComplex._lazy(simplices, chains.ChainComplex._make(
+        return SimplicialComplex._lazy(vertices, chains.ChainComplex._make(
             (n0, n1, b2 * nt), {1: tuple(cols1), 2: tuple(cols2)}))
 
-    nxt = build(blocks[0], cheads)
-    cone = build(blocks[1], apexes)
+    nxt = build(blocks[0], lambda: [("c", a, b, c) + s for a, b, c, *_ in tris
+                                    for s in suffixes] + shared())
+    cone = build(blocks[1], lambda: [("a", a, b, c) for a, b, c, *_ in tris]
+                 + shared())
     # The bonding fixes the shared skeleton and sends each copy onto the
     # cone over its triangle, collapsing what has two 'c' vertices.  A
     # copy's simplex starts at its 'c' vertex and its image at the apex,
@@ -659,14 +653,8 @@ def _replace_triangles(l: SimplicialComplex, p, template):
         for t in range(nt):
             cols += picks[k](unit[bc * t:bc * t + bc] + [()])
         columns[k] = tuple(cols + unit[bc * nt:])
-
-    def vertex_map():
-        vmap = {x: x for x in shared()}
-        vmap.update(zip(cheads(), [x for x in apexes() for _ in suffixes]))
-        return vmap
-
-    return nxt, cone, SimplicialMap._lazy(
-        nxt, cone, vertex_map,
+    return nxt, cone, SimplicialMap._make(
+        nxt, cone, None,
         chains.ChainMap._make(nxt.chain_complex(), cone.chain_complex(),
                               columns))
 
@@ -689,8 +677,9 @@ def pontryagin_stage(p, k):
     simplices with a 'c' or 'a' vertex), then the shared subdivided
     1-skeleton.  It is built with its chain complex, the bonding with
     its chain map, straight from that layout and from one template of
-    the single triangle; labels, the label index and the vertex map are
-    made only when a caller reads them (see _replace_triangles).
+    the single triangle; simplices, the label index and the vertex map
+    are read off that chain data only when a caller reads them (see
+    _replace_triangles).
     """
     check_prime(p)
     if k not in (1, 2):
@@ -714,21 +703,24 @@ def ew_skeleton(k_complex: SimplicialComplex, group, n):
     (n+1)-cell is glued onto each (n+1)-simplex with attaching degree
     p, killing the simplex boundary only modulo p.  Returns the chain
     complex together with the inclusion of the n-skeleton's chains.
+    Both are read off k_complex.chain_complex(): its degrees up to n
+    are the skeleton's chains, and its boundary columns of degree n + 1,
+    times p, attach the new cells.  No label is read.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValueError(f"Edwards-Walsh skeleta need n >= 2: {n!r}")
-    skel = k_complex.skeleton(n)
-    base = skel.chain_complex()
+    c = k_complex.chain_complex()
+    base = chains.ChainComplex._make(
+        c.ranks[:n + 1], {k: cols for k, cols in c._cols.items() if k <= n})
     ident = {k: tuple(((j, 1),) for j in range(base.rank(k)))
              for k in range(base.top + 1)}
     if group is Z_GROUP:
         return base, chains.ChainMap._make(base, base, ident)
     if not (isinstance(group, Zmod) and group.k == 1):
         raise ValueError(f"Edwards-Walsh groups are Z or Z/p: {group!r}")
-    tops = k_complex.simplices(n + 1)
-    ranks = tuple(base.rank(k) for k in range(n + 1)) + (len(tops),)
-    index = skel._index
-    attach = tuple(_boundary_column(s, index, group.p) for s in tops)
+    ranks = tuple(c.rank(k) for k in range(n + 2))
+    attach = tuple(tuple([(r, v * group.p) for r, v in col])
+                   for col in c._cols.get(n + 1, ()))
     ew = chains.ChainComplex._make(ranks, {**base._cols, n + 1: attach})
     return ew, chains.ChainMap._make(base, ew, ident)
 
@@ -797,6 +789,9 @@ def map_to_text(f: SimplicialMap):
 
 
 def map_from_text(text, source, target):
+    """Read the 'i -> j' lines of map_to_text.  An index outside the
+    vertex list (a negative one included), or a source index given two
+    different images, raises ValueError naming the line."""
     sv = source.vertices()
     tv = target.vertices()
     vmap = {}
@@ -807,5 +802,9 @@ def map_from_text(text, source, target):
         left, arrow, right = line.partition("->")
         if not arrow:
             raise ValueError(f"expected 'i -> j': {line!r}")
-        vmap[sv[int(left.strip())]] = tv[int(right.strip())]
+        i, j = int(left), int(right)
+        if not (0 <= i < len(sv) and 0 <= j < len(tv)):
+            raise ValueError(f"vertex index out of range: {line!r}")
+        if vmap.setdefault(sv[i], tv[j]) != tv[j]:
+            raise ValueError(f"vertex {i} has two images: {line!r}")
     return SimplicialMap(source, target, vmap)

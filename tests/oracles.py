@@ -377,3 +377,32 @@ def replace_triangles_by_labels(l, p):
     nxt = SimplicialComplex._make(simplices)
     cone = SimplicialComplex._make(cone_simplices)
     return nxt, cone, SimplicialMap._make(nxt, cone, bonding)
+
+
+# -- Edwards-Walsh skeleta by labels -----------------------------------------
+
+def ew_skeleton_by_labels(k_complex, group, n):
+    """The Edwards-Walsh modification of the n-skeleton over Z or Z/p,
+    built from labels: the reference for the library's ew_skeleton,
+    which reads the complex's chain complex instead.  The n-skeleton is
+    collected and sorted anew, and each (n+1)-simplex is attached, for
+    Z/p, along the boundary that its faces' labels give, times p.
+    Returns the chain complex and the inclusion of the skeleton's
+    chains."""
+    from bockstein.chains import ChainComplex, ChainMap
+    from bockstein.groups import Z
+
+    skel = k_complex.skeleton(n)
+    base = skel.chain_complex()
+    ident = {k: tuple(((j, 1),) for j in range(base.rank(k)))
+             for k in range(base.top + 1)}
+    if group is Z:
+        return base, ChainMap._make(base, base, ident)
+    tops = k_complex.simplices(n + 1)
+    ranks = tuple(base.rank(k) for k in range(n + 1)) + (len(tops),)
+    index = skel._index
+    attach = tuple(tuple([(index[s[:i] + s[i + 1:]][1], (-1) ** i * group.p)
+                          for i in range(len(s) - 1, -1, -1)])
+                   for s in tops)
+    ew = ChainComplex._make(ranks, {**base._cols, n + 1: attach})
+    return ew, ChainMap._make(base, ew, ident)

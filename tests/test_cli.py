@@ -434,15 +434,27 @@ class TestGolden:
 
 class TestColdStart:
     """The runtime is stdlib-only: neither importing the package nor a
-    CLI process loads sympy (which alone took ~0.4 s to import)."""
+    CLI process loads sympy (which alone took ~0.4 s to import), nor
+    any other module from outside the standard library."""
 
     ENV = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
 
     def test_import_loads_no_sympy(self):
-        code = ("import bockstein, bockstein.cli, sys; "
-                "assert 'sympy' not in sys.modules")
-        subprocess.run([sys.executable, "-c", code], env=self.ENV,
-                       check=True, timeout=60)
+        # Site hooks may load third-party modules (such as
+        # _distutils_hack or certifi) at interpreter start, so only the
+        # top-level modules the import adds are checked.
+        code = ("import sys; before = set(sys.modules); "
+                "import bockstein, bockstein.cli; "
+                "assert 'sympy' not in sys.modules; "
+                "print(' '.join(sorted({m.partition('.')[0] for m in "
+                "set(sys.modules) - before})))")
+        done = subprocess.run([sys.executable, "-c", code], env=self.ENV,
+                              capture_output=True, text=True, check=True,
+                              timeout=60)
+        added = done.stdout.split()
+        assert "bockstein" in added
+        assert [m for m in added if m != "bockstein"
+                and m not in sys.stdlib_module_names] == []
 
     def test_cli_process_loads_no_sympy(self):
         # -X importtime lists every module the process imports on stderr.

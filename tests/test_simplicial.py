@@ -17,7 +17,8 @@ from bockstein.simplicial import (
 from bockstein.chains import induced_map as chain_induced
 
 from oracles import (
-    mp_pair_integral, pontryagin_integral, replace_triangles_by_labels,
+    ew_skeleton_by_labels, mp_pair_integral, pontryagin_integral,
+    replace_triangles_by_labels,
 )
 
 
@@ -99,6 +100,30 @@ class TestMaps:
         text = map_to_text(f)
         g = map_from_text(text, f.source, f.target)
         assert g.vertex_map == f.vertex_map
+        # A line repeated with the same image is no conflict.
+        g = map_from_text(text + "0 -> 0\n", f.source, f.target)
+        assert g.vertex_map == f.vertex_map
+
+    def test_text_rejects_a_negative_index(self):
+        f = degree_map_circle(2)
+        with pytest.raises(ValueError, match="'-1 -> 2'"):
+            map_from_text(map_to_text(f) + "-1 -> 2\n", f.source, f.target)
+
+    def test_text_rejects_an_index_out_of_range(self):
+        f = degree_map_circle(2)        # 6 source and 3 target vertices
+        for line in ("6 -> 0", "0 -> 3"):
+            with pytest.raises(ValueError, match=f"range: '{line}'"):
+                map_from_text(map_to_text(f) + line, f.source, f.target)
+
+    def test_text_rejects_a_second_image(self):
+        f = degree_map_circle(2)
+        with pytest.raises(ValueError, match="vertex 0 has two images"):
+            map_from_text(map_to_text(f) + "0 -> 1\n", f.source, f.target)
+
+    def test_rejects_a_key_outside_the_source(self):
+        c = circle(3)
+        with pytest.raises(ValueError, match="vertex 9 is not in the source"):
+            SimplicialMap(c, c, {0: 0, 1: 1, 2: 2, 9: 0})
 
 
 def mat_mul(a, b):
@@ -610,3 +635,99 @@ class TestTrustedPath:
             ew, inclusion = ew_skeleton(model, group, n)
             assert_trusted_complex(ew)
             assert_trusted_map(inclusion)
+
+
+# -- the chain data as the one record ----------------------------------------
+
+def assert_read_off_columns(x):
+    """x equals the complex that _lazy reads off its sorted vertex
+    labels and its chain complex alone."""
+    y = SimplicialComplex._lazy(x.vertices, x.chain_complex())
+    assert y.f_vector() == x.f_vector()         # the chain ranks
+    assert [y.simplices(k) for k in range(x.dim + 1)] == [
+        x.simplices(k) for k in range(x.dim + 1)]
+    assert y.f_vector() == x.f_vector()         # the simplices
+    assert y._index == x._index
+    assert y == x and hash(y) == hash(x)
+
+
+def assert_vertex_map_read_off_columns(f):
+    g = SimplicialMap._make(f.source, f.target, None, f.chain_map())
+    assert g.vertex_map == f.vertex_map
+
+
+def assert_cylinder_read_off_columns(cyl):
+    for x in (cyl.complex, cyl.domain, cyl.target):
+        assert_read_off_columns(x)
+    for f in (cyl.map, cyl.retraction, cyl.domain_inclusion,
+              cyl.target_inclusion):
+        assert_vertex_map_read_off_columns(f)
+
+
+class TestChainRecord:
+    """Simplices read off boundary columns, and vertex maps read off
+    degree-0 columns, equal the ones the labels give."""
+
+    @given(simplex_faces)
+    @settings(max_examples=100, deadline=None)
+    def test_random_complexes(self, draw):
+        n, faces, keep = draw
+        x = SimplicialComplex(faces)
+        for k in range(n + 1):
+            assert_read_off_columns(x.skeleton(k))
+        sub = x.full_subcomplex(keep.__contains__)
+        if sub.f_vector():
+            assert_read_off_columns(sub)
+
+    @given(simplex_faces, st.integers(min_value=0, max_value=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_random_maps_and_cylinders(self, draw, m, rng):
+        _, faces, _ = draw
+        x = SimplicialComplex(faces)
+        f = SimplicialMap(x, full_simplex(m),
+                          {v: rng.randint(0, m) for v in x.vertices()})
+        assert_vertex_map_read_off_columns(f)
+        assert_cylinder_read_off_columns(mapping_cylinder(f))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cylinders_of_degree_maps(self, p):
+        assert_cylinder_read_off_columns(mapping_cylinder(
+            degree_map_circle(p)))
+
+
+class TestEdwardsWalshByLabels:
+    """ew_skeleton, read off the complex's chain complex, equals the
+    skeleton-and-label-lookup construction of tests/oracles.py."""
+
+    @staticmethod
+    def assert_matches_labels(model, group, n):
+        ew, inclusion = ew_skeleton(model, group, n)
+        want, want_inclusion = ew_skeleton_by_labels(model, group, n)
+        assert (ew.ranks, ew._cols) == (want.ranks, want._cols)
+        base = inclusion.source
+        assert base.ranks == model.chain_complex().ranks[:n + 1]
+        assert (base.ranks, base._cols) == (want_inclusion.source.ranks,
+                                            want_inclusion.source._cols)
+        assert inclusion.target is ew
+        assert inclusion._cols == want_inclusion._cols
+
+    @given(simplex_faces, st.integers(min_value=2, max_value=4),
+           st.sampled_from([Z, Zmod(2), Zmod(3)]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_complexes(self, draw, n, group):
+        _, faces, _ = draw
+        self.assert_matches_labels(SimplicialComplex(faces), group, n)
+
+    @pytest.mark.parametrize("group", [Z, Zmod(2), Zmod(3)])
+    def test_full_simplices(self, group):
+        # Dimensions below n, at n and n + 1, and above n + 1.
+        for d in range(7):
+            for n in (2, 3, 4):
+                self.assert_matches_labels(full_simplex(d), group, n)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_second_pontryagin_stage(self, p):
+        stages, _ = pontryagin_stage(p, 1)
+        for group in (Z, Zmod(2), Zmod(3)):
+            self.assert_matches_labels(stages[1], group, 2)
