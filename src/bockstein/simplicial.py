@@ -91,7 +91,9 @@ class SimplicialComplex:
     it downward.  A complex the library builds with its chain complex
     may read its simplices off that chain complex on first use (see
     _lazy); dim and f_vector then read the chain ranks, and every read
-    of a simplex, has, == and hash make them.
+    of a simplex, has, == and hash make them.  The empty complex has
+    f_vector () and dim -1, however it is made; its chain complex, like
+    every chain complex, has a degree 0, of rank 0.
 
     >>> s = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
     >>> s.f_vector()
@@ -150,7 +152,7 @@ class SimplicialComplex:
             self._build = None
             cols = self._chain._cols
             faces = [(i,) for i in range(len(labels))]
-            degrees = {0: tuple([(v,) for v in labels])}
+            degrees = {0: tuple([(v,) for v in labels])} if labels else {}
             for k in range(1, len(self._chain.ranks)):
                 faces = [tuple(sorted({*faces[col[0][0]], *faces[col[1][0]]}))
                          for col in cols[k]]
@@ -188,8 +190,10 @@ class SimplicialComplex:
 
     def f_vector(self):
         if self._degrees is None:
-            # The simplices are not built yet; the chain ranks count them.
-            return self._chain.ranks
+            # The simplices are not built yet; the chain ranks count them,
+            # but for the empty complex's degree 0 of rank 0.
+            ranks = self._chain.ranks
+            return ranks if ranks[0] else ()
         # Closed under faces, so the degrees run 0 .. dim.
         return tuple(len(self._degrees[k]) for k in range(len(self._degrees)))
 
@@ -577,6 +581,12 @@ def _replace_triangles(l: SimplicialComplex, p, template):
     bonding with its chain map, which are their one record: the complexes
     list only their vertex labels, and their simplices and the bonding's
     vertex map are read off the columns when a caller first reads them.
+
+    The entries are shared: per degree, one list of (row, 1) and one of
+    (row, -1) pairs, as long as the stage's rank (the stage has the most
+    rows), supplies every entry of the stage's and the cone's boundary
+    columns and of the bonding's one-entry columns.  So an entry is one
+    object however many columns hold it.
     """
     blocks, suffixes, picks = template
     lc = l.chain_complex()
@@ -586,6 +596,11 @@ def _replace_triangles(l: SimplicialComplex, p, template):
     tris = [ends[col[0][0]] + (ends[col[2][0]][1], col[0][0], col[1][0],
                                 col[2][0]) for col in lc._cols[2]]
     m = 2 * p - 1
+    # The shared entries, as many per degree as the stage has rows.
+    (s0, _), (s1, _), (s2, _) = blocks[0]
+    rows = (s0 * nt + ne * m + nv, s1 * nt + 2 * p * ne, s2 * nt)
+    plus0, plus1, plus2 = ([(r, 1) for r in range(n)] for n in rows)
+    minus0, minus1 = ([(r, -1) for r in range(n)] for n in rows[:2])
 
     def shared():
         """The labels of the shared 'e' and 'o' vertices, in order."""
@@ -613,11 +628,6 @@ def _replace_triangles(l: SimplicialComplex, p, template):
                     + x[e0 + 2 * p * ac:e0 + 2 * p * (ac + 1)]
                     + x[e0 + 2 * p * bc:e0 + 2 * p * (bc + 1)])
 
-        # Each entry (row, sign) of a boundary column is built once.
-        plus0 = [(r, 1) for r in range(n0)]
-        minus0 = [(r, -1) for r in range(n0)]
-        plus1 = [(r, 1) for r in range(n1)]
-        minus1 = [(r, -1) for r in range(n1)]
         cols1, cols2 = [], []
         for t, (a, b, c, ab, ac, bc) in enumerate(tris):
             entries = (copy0(plus0, t, a, b, c, ab, ac, bc)
@@ -648,7 +658,7 @@ def _replace_triangles(l: SimplicialComplex, p, template):
     columns = {}
     for k, rank in enumerate(cone.f_vector()):
         bc = blocks[1][k][0]
-        unit = [((r, 1),) for r in range(rank)]
+        unit = [(e,) for e in (plus0, plus1, plus2)[k][:rank]]
         cols = []
         for t in range(nt):
             cols += picks[k](unit[bc * t:bc * t + bc] + [()])
@@ -789,9 +799,10 @@ def map_to_text(f: SimplicialMap):
 
 
 def map_from_text(text, source, target):
-    """Read the 'i -> j' lines of map_to_text.  An index outside the
+    """Read the 'i -> j' lines of map_to_text.  A line not of that form
+    (no arrow, or a side that is not an integer), an index outside the
     vertex list (a negative one included), or a source index given two
-    different images, raises ValueError naming the line."""
+    different images raises ValueError naming the line."""
     sv = source.vertices()
     tv = target.vertices()
     vmap = {}
@@ -799,10 +810,12 @@ def map_from_text(text, source, target):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        left, arrow, right = line.partition("->")
-        if not arrow:
-            raise ValueError(f"expected 'i -> j': {line!r}")
-        i, j = int(left), int(right)
+        # Without an arrow, right is empty and int() refuses it.
+        left, _, right = line.partition("->")
+        try:
+            i, j = int(left), int(right)
+        except ValueError:
+            raise ValueError(f"expected 'i -> j': {line!r}") from None
         if not (0 <= i < len(sv) and 0 <= j < len(tv)):
             raise ValueError(f"vertex index out of range: {line!r}")
         if vmap.setdefault(sv[i], tv[j]) != tv[j]:

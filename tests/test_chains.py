@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from functools import reduce
+from hashlib import sha256
 from math import gcd, lcm, prod
 
 import pytest
@@ -15,6 +16,7 @@ from bockstein.chains import (
 from bockstein.chains import _int_inverse, _sparse_invariants
 from bockstein.chains import _invariant_factors
 from bockstein.chains import _boundary_reducer, _convert, _field_basis
+from bockstein.chains import _HEAP_ROWS
 from bockstein import simplicial
 from bockstein.simplicial import SimplicialComplex, pontryagin_stage
 from bockstein.groups import Q, Z, Zmod, ZpInf
@@ -23,6 +25,7 @@ from oracles import (
     betti_oracle, induced_rank_oracle, integral_homology_oracle,
     join_expect, rank_mod_p, rank_rational, smith_invariants,
 )
+from test_simplicial import wide_faces
 
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -640,12 +643,15 @@ def dense_map(cm, k):
     return f
 
 
-def assert_induced_against_oracle(cm):
+def assert_induced_against_oracle(cm, primes=(None, 2, 3)):
     """Rank and flags of every field induced map of cm, homology and
-    cohomology, against the dense rank of [B_k(T) | f(Z_k(S))]."""
+    cohomology, against the dense rank of [B_k(T) | f(Z_k(S))], over
+    those of Q (None), Z/2 and Z/3 that primes names."""
     src, tgt = cm.source, cm.target
     bnd_s, bnd_t = dense_boundaries(src), dense_boundaries(tgt)
     for (coeff, rank_fn), p in zip(FIELDS, (None, 2, 3)):
+        if p not in primes:
+            continue
         betti_s = betti_oracle(src.ranks, bnd_s, rank_fn)
         betti_t = betti_oracle(tgt.ranks, bnd_t, rank_fn)
         for k in range(src.top + 1):
@@ -807,6 +813,173 @@ class TestFrozenColumns:
         assert_induced_against_oracle(ChainMap(cx, cy, {
             k: mat_mul(qy[k], mat_mul(dense_map(g, k), px[k]))
             for k in px if k in qy}))
+
+
+# -- the kept layout -----------------------------------------------------------
+
+def assert_kept_layout(reducer):
+    """Every column reducer keeps is laid out as _Reducer says: an index
+    names a column claimed in place, whose last entry is its pivot with
+    the value 1; any other column's pivot entry times the inverse it
+    carries is 1, and its other rows lie below the pivot."""
+    p = reducer.p
+    for row, owner in reducer.kept.items():
+        if isinstance(owner, int):
+            assert reducer.columns[owner][-1] == (row, 1), (row, owner)
+        else:
+            entries, _, inv = owner
+            entries = dict(entries)
+            lead = entries[row] * inv
+            assert (lead % p if p else lead) == 1, (row, owner)
+            assert max(entries) == row, (row, owner)
+
+
+def assert_reducers_laid_out(c):
+    for p in (None, 2, 3):
+        for k in range(1, c.top + 1):
+            assert_kept_layout(_boundary_reducer(c, k, p))
+            assert_kept_layout(_boundary_reducer(c, k, p, kernel=[]))
+        for k in range(c.top + 1):
+            assert_kept_layout(_field_basis(c, k, p)[0])
+
+
+class TestKeptLayout:
+    @pytest.mark.parametrize("c", FROZEN_PINS)
+    def test_pinned_columns(self, c):
+        # Leads of -1, 2 and 4 and entries that vanish mod 2 or 3.
+        assert_reducers_laid_out(c)
+
+    def test_constructions(self):
+        for n in (1, 2):
+            for m in (2, 4, 6):
+                assert_reducers_laid_out(moore_space(m, n))
+        for p in (2, 3):
+            assert_reducers_laid_out(
+                simplicial.ew_skeleton(simplicial.full_simplex(4), Zmod(p),
+                                       2)[0])
+            assert_reducers_laid_out(
+                pontryagin_stage(p, 1)[0][-1].chain_complex())
+
+    @given(wide_faces)
+    @settings(max_examples=40, deadline=None)
+    def test_wide_complexes(self, draw):
+        # Against the dense oracles too: claims, reductions and heap.
+        _, faces, keep = draw
+        x = SimplicialComplex(faces)
+        sub = x.full_subcomplex(keep.__contains__)
+        for c in (x.chain_complex(),
+                  quotient_complex(x.chain_complex(), x.indices_of(sub))[0]):
+            assert_reducers_laid_out(c)
+            assert_field_route_against_dense(c)
+
+
+# -- long vectors --------------------------------------------------------------
+
+class TestLongVectors:
+    """A vector of more than _HEAP_ROWS rows finds its pivots on a heap.
+    The domain end of these cylinders is a circle of 2pk > _HEAP_ROWS
+    edges, whose class the inclusion carries into the cylinder, where it
+    is reduced against the boundaries of the triangles, picking up rows
+    that become pivots later."""
+
+    @pytest.mark.parametrize("p, k", [(2, 13), (3, 9)])
+    def test_degree_map_cylinders(self, p, k):
+        cyl = simplicial.mapping_cylinder(simplicial.degree_map_circle(p, k))
+        inclusion = cyl.domain_inclusion.chain_map()
+        for f in (None, 2, 3):
+            _, (rep,) = _field_basis(inclusion.source, 1, f)
+            assert len(rep) == 2 * p * k > _HEAP_ROWS
+        # The dense rational oracle takes seconds here; over Q the map
+        # on H_1 is the covering's degree p, an iso.
+        assert_induced_against_oracle(inclusion, (2, 3))
+        assert induced_map(inclusion, 1, Q).matrix in (((p,),), ((-p,),))
+
+
+# -- field route outputs pinned ----------------------------------------------
+#
+# SHA-256 of what the field route returns on the constructions: Betti
+# numbers, the kept pivot rows and representatives of every homology
+# basis, and every induced map report, over Q, Z/p and one other Z/q.
+
+def pinned_fields(p):
+    q = 3 if p == 2 else 2
+    return ((Q, None), (Zmod(p), p), (Zmod(q), q))
+
+
+def field_record(c, p):
+    out = []
+    for coeff, f in pinned_fields(p):
+        out.append(tuple(field_betti(c, coeff)))
+        for k in range(c.top + 1):
+            space, reps = _field_basis(c, k, f)
+            out.append((sorted(space.kept),
+                        [sorted(rep.items()) for rep in reps]))
+    return out
+
+
+def induced_record(cm, p):
+    out = []
+    for coeff, _ in pinned_fields(p):
+        for k in range(cm.source.top + 1):
+            for dual in (False, True):
+                r = induced_map(cm, k, coeff, cohomology=dual)
+                out.append((r.matrix, r.injective, r.surjective))
+    return out
+
+
+def digest(records):
+    return sha256(repr(records).encode()).hexdigest()
+
+
+FIELD_HASHES = {
+    "pontryagin": {
+        2: ("0e314820db4d35878e33c552fcfb22e4163186a9c60af46be16dc27c75d74214",
+            "9c02d428cdf9149b2eb46ec024ef2c7a8c7089da9ae602cafca29c03ec0473c7",
+            "ec0b61bdef8246aa9a6891f7ed75a0232270a297b3220bd278d1721348a87146"),
+        3: ("ac4e88b057a88300d35cbdc223c97fa05b10960f9c8be08705b14371bf5931a2",
+            "aadcbca44e558a76fa35fa6c38ac35ebd96cb6bd0637d6f2bfd23560f2bb07e7",
+            "e098b3fe8851006e587504f3ebffefeff7aa0d6a3a2e6bcd3b0b64aedcf6ae64"),
+        5: ("b718ef372139119ac99957275df24c537eb0cce9b022f9f93ab507031e5064cf",
+            "14f3cddd7712145d72557a0ea09383ffad90c17e677eb006ea7858493c9576da",
+            "41d23d871f2153d31cb4c48d70ee831b76baed6503a4abce72e1b5d5d48c3c99"),
+    },
+    "ew": {
+        2: "b61b8e5335d11d3e684d8ac620a04162d6eca4d93cb26bbf37cf89d25964adc3",
+        3: "3ee2f199b2026349c9e32bd109acc9370efbe95e23b62f68f4b59cb6b95eee7d",
+    },
+    "moore": "59b8e32daabc88a0c69ec411285fa4760eee14319468a76a65b0ea078658b7a4",
+}
+
+
+class TestFieldOutputsPinned:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_pontryagin_stages_and_bondings(self, p):
+        # L_1 .. L_3, the cones the bondings land in, and both bondings.
+        stages, bondings = pontryagin_stage(p, 2)
+        assert FIELD_HASHES["pontryagin"][p] == (
+            digest([field_record(x.chain_complex(), p) for x in stages]),
+            digest([field_record(q.target.chain_complex(), p)
+                    for q in bondings]),
+            digest([induced_record(q.chain_map(), p) for q in bondings]))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_edwards_walsh_skeleta(self, p):
+        records = []
+        for n in (2, 3):
+            for model in (simplicial.full_simplex(n + 1),
+                          simplicial.boundary_simplex(n + 2)):
+                ew, inclusion = simplicial.ew_skeleton(model, Zmod(p), n)
+                records += [field_record(ew, p), induced_record(inclusion, p)]
+        assert FIELD_HASHES["ew"][p] == digest(records)
+
+    def test_moore_spaces_and_their_maps(self):
+        records = []
+        for n in (1, 2):
+            for m, m2, a, b in MOORE_MAPS:
+                src, tgt = moore_space(m, n), moore_space(m2, n)
+                records += [field_record(src, 2), induced_record(ChainMap(
+                    src, tgt, {0: [[1]], n: [[a]], n + 1: [[b]]}), 2)]
+        assert FIELD_HASHES["moore"] == digest(records)
 
 
 # -- clearing on the integral route ------------------------------------------

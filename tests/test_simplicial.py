@@ -115,6 +115,14 @@ class TestMaps:
             with pytest.raises(ValueError, match=f"range: '{line}'"):
                 map_from_text(map_to_text(f) + line, f.source, f.target)
 
+    def test_text_rejects_a_side_that_is_not_an_index(self):
+        # A letter, a float and an empty side; before, a letter raised
+        # int()'s own message, which names neither the line nor the form.
+        f = degree_map_circle(2)
+        for line in ("a -> 1", "0 -> 1.5", "-> 1", "0 ->"):
+            with pytest.raises(ValueError, match=f"'i -> j': '{line}'"):
+                map_from_text(map_to_text(f) + line, f.source, f.target)
+
     def test_text_rejects_a_second_image(self):
         f = degree_map_circle(2)
         with pytest.raises(ValueError, match="vertex 0 has two images"):
@@ -493,6 +501,19 @@ simplex_faces = st.integers(min_value=1, max_value=4).flatmap(
                  max_size=6),
         st.sets(st.integers(0, n))))
 
+# The same shape, (n, faces, kept vertices), with 9 to 16 vertex labels
+# drawn from a wide range, and faces of dimension <= 3.  A set of at most
+# 5 small ints iterates in sorted order, so simplex_faces cannot show an
+# ordering fault; sets of these labels, and of their positions past 8,
+# need not.
+wide_faces = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=9,
+                      max_size=16, unique=True).flatmap(
+    lambda labels: st.tuples(
+        st.just(len(labels) - 1),
+        st.lists(st.sets(st.sampled_from(labels), min_size=2, max_size=4),
+                 min_size=4, max_size=8),
+        st.sets(st.sampled_from(labels))))
+
 
 def assert_public_rebuild(x):
     rebuilt = SimplicialComplex(list(x.all_simplices()))
@@ -668,16 +689,26 @@ class TestChainRecord:
     """Simplices read off boundary columns, and vertex maps read off
     degree-0 columns, equal the ones the labels give."""
 
-    @given(simplex_faces)
+    @given(st.one_of(simplex_faces, wide_faces))
     @settings(max_examples=100, deadline=None)
     def test_random_complexes(self, draw):
         n, faces, keep = draw
         x = SimplicialComplex(faces)
         for k in range(n + 1):
             assert_read_off_columns(x.skeleton(k))
-        sub = x.full_subcomplex(keep.__contains__)
-        if sub.f_vector():
-            assert_read_off_columns(sub)
+        assert_read_off_columns(x.full_subcomplex(keep.__contains__))
+
+    def test_the_empty_complex(self):
+        # One convention wherever it comes from: no simplex, dim -1, and
+        # a chain complex of rank 0 in degree 0.
+        for x in (SimplicialComplex([]),
+                  circle(3).full_subcomplex(lambda v: False)):
+            y = SimplicialComplex._lazy(x.vertices, x.chain_complex())
+            for z in (x, y):
+                assert (z.f_vector(), z.dim) == ((), -1)
+                assert z.chain_complex().ranks == (0,)
+            assert_read_off_columns(x)
+            assert homology_of(y, Z)[0] == homology_of(x, Z)[0]
 
     @given(simplex_faces, st.integers(min_value=0, max_value=3),
            st.randoms(use_true_random=False))
