@@ -16,8 +16,7 @@ from bockstein.chains import (
 from bockstein.chains import _int_inverse, _sparse_invariants
 from bockstein.chains import _invariant_factors
 from bockstein.chains import _boundary_reducer, _convert, _field_basis
-from bockstein.chains import _HEAP_ROWS
-from bockstein import simplicial
+from bockstein import chains, simplicial
 from bockstein.simplicial import SimplicialComplex, pontryagin_stage
 from bockstein.groups import Q, Z, Zmod, ZpInf
 
@@ -863,7 +862,7 @@ class TestKeptLayout:
     @given(wide_faces)
     @settings(max_examples=40, deadline=None)
     def test_wide_complexes(self, draw):
-        # Against the dense oracles too: claims, reductions and heap.
+        # Against the dense oracles too.
         _, faces, keep = draw
         x = SimplicialComplex(faces)
         sub = x.full_subcomplex(keep.__contains__)
@@ -888,7 +887,7 @@ class TestLongVectors:
         inclusion = cyl.domain_inclusion.chain_map()
         for f in (None, 2, 3):
             _, (rep,) = _field_basis(inclusion.source, 1, f)
-            assert len(rep) == 2 * p * k > _HEAP_ROWS
+            assert len(rep) == 2 * p * k > chains._HEAP_ROWS
         # The dense rational oracle takes seconds here; over Q the map
         # on H_1 is the covering's degree p, an iso.
         assert_induced_against_oracle(inclusion, (2, 3))
@@ -899,7 +898,8 @@ class TestLongVectors:
 #
 # SHA-256 of what the field route returns on the constructions: Betti
 # numbers, the kept pivot rows and representatives of every homology
-# basis, and every induced map report, over Q, Z/p and one other Z/q.
+# basis, and every homology induced-map report, over Q, Z/p and one
+# other Z/q.
 
 def pinned_fields(p):
     q = 3 if p == 2 else 2
@@ -918,12 +918,12 @@ def field_record(c, p):
 
 
 def induced_record(cm, p):
+    # The cohomology report is the transpose, with the flags swapped.
     out = []
     for coeff, _ in pinned_fields(p):
         for k in range(cm.source.top + 1):
-            for dual in (False, True):
-                r = induced_map(cm, k, coeff, cohomology=dual)
-                out.append((r.matrix, r.injective, r.surjective))
+            r = induced_map(cm, k, coeff)
+            out.append((r.matrix, r.injective, r.surjective))
     return out
 
 
@@ -935,19 +935,19 @@ FIELD_HASHES = {
     "pontryagin": {
         2: ("0e314820db4d35878e33c552fcfb22e4163186a9c60af46be16dc27c75d74214",
             "9c02d428cdf9149b2eb46ec024ef2c7a8c7089da9ae602cafca29c03ec0473c7",
-            "ec0b61bdef8246aa9a6891f7ed75a0232270a297b3220bd278d1721348a87146"),
+            "938c48ebd05237ba52370e36b04f211c5ce782f9f4fdcc944abd615fefc3af83"),
         3: ("ac4e88b057a88300d35cbdc223c97fa05b10960f9c8be08705b14371bf5931a2",
             "aadcbca44e558a76fa35fa6c38ac35ebd96cb6bd0637d6f2bfd23560f2bb07e7",
-            "e098b3fe8851006e587504f3ebffefeff7aa0d6a3a2e6bcd3b0b64aedcf6ae64"),
+            "bf2422b4d592e0eb6d8db646ed6ced6d4fa9b3d406e613829bfef1032bf6136f"),
         5: ("b718ef372139119ac99957275df24c537eb0cce9b022f9f93ab507031e5064cf",
             "14f3cddd7712145d72557a0ea09383ffad90c17e677eb006ea7858493c9576da",
-            "41d23d871f2153d31cb4c48d70ee831b76baed6503a4abce72e1b5d5d48c3c99"),
+            "99d7ff00fd7e8d4944884197b1f2f664582bf161213630b3b1d2782423c7b21c"),
     },
     "ew": {
-        2: "b61b8e5335d11d3e684d8ac620a04162d6eca4d93cb26bbf37cf89d25964adc3",
-        3: "3ee2f199b2026349c9e32bd109acc9370efbe95e23b62f68f4b59cb6b95eee7d",
+        2: "6bd2e8279aad60c117b8e6d20e4161b1cfa2038a309e938a4636dccb89a5327a",
+        3: "15c60e5c69eed39637c0073423a30d265ffcc97aeb077f5842d34fb45f360942",
     },
-    "moore": "59b8e32daabc88a0c69ec411285fa4760eee14319468a76a65b0ea078658b7a4",
+    "moore": "3098a3e3205105ef43f189a6251a9c0da8d56d8527eaa4a7e8780bfdaa3a62cc",
 }
 
 

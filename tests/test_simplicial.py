@@ -116,8 +116,7 @@ class TestMaps:
                 map_from_text(map_to_text(f) + line, f.source, f.target)
 
     def test_text_rejects_a_side_that_is_not_an_index(self):
-        # A letter, a float and an empty side; before, a letter raised
-        # int()'s own message, which names neither the line nor the form.
+        # A letter, a float and an empty side.
         f = degree_map_circle(2)
         for line in ("a -> 1", "0 -> 1.5", "-> 1", "0 ->"):
             with pytest.raises(ValueError, match=f"'i -> j': '{line}'"):
