@@ -12,18 +12,19 @@ a field that column would reduce to zero; over Z it is an integer
 combination of the columns kept, so the image lattice does not change.
 Z/p^k (k > 1) and the Pruefer group Z(p^inf) are derived from the
 integral answer through universal coefficients.  Integral induced maps
-use the dense form with its unimodular transforms.  The field route (Q
-and Z/p) is one sparse column reducer over a field given by p: None for
-Q, else the prime.  A boundary column whose pivot entry is 1 and whose
-pivot row no kept column owns, as most simplicial boundary columns are,
-is claimed in place: the reducer keeps its index and nothing else.  Any
-other kept column carries the inverse of its pivot entry, so the
-elimination never divides, and a frozen column that meets no kept pivot
-is kept as the tuple it came as, not copied.  The pivots met in one
-reduction strictly decrease, so a long vector walks them down a heap of
-its rows instead of scanning for the max at every step.  The reducer
-supplies Betti numbers, homology bases and induced maps, and stays
-exact and fast on complexes far too large for dense elimination.
+take two dense Smith forms per complex, of d_k and of d_{k+1} written in
+cycle coordinates; each keeps its transforms and their exact inverses.
+The field route (Q and Z/p) is one sparse column reducer over a field
+given by p: None for Q, else the prime.  A boundary column whose pivot
+entry is 1 and whose pivot row no kept column owns, as most simplicial
+boundary columns are, is claimed in place: the reducer keeps its index
+and nothing else.  Any other column is copied and reduced, and carries
+the inverse of its pivot entry, so the elimination never divides.  The
+pivots met in one reduction strictly decrease, so a long vector walks
+them down a heap of its rows instead of scanning for the max at every
+step.  The reducer supplies Betti numbers, homology bases and induced
+maps, and stays exact and fast on complexes far too large for dense
+elimination.
 
 Boundary and chain-map matrices are stored as frozen sparse columns:
 tuples of (row, value) pairs, rows ascending, zeros dropped.  Chain
@@ -69,47 +70,56 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def _snf_shaped(mat, rows, cols):
-    """Smith normal form with transforms: returns (invariants, u, v).
+    """Smith normal form with transforms: returns (invariants, u, v,
+    u_inv, v_inv).
 
     u (rows x rows) and v (cols x cols) are unimodular with
     u * mat * v = diag(invariants, then zeros); the invariants are
-    positive and each divides the next.
+    positive and each divides the next.  u_inv and v_inv are their exact
+    inverses, kept by undoing each step on the other side: a row step on
+    u is a column step on u_inv, and a column step on v a row step on
+    v_inv.  u_inv is built by columns, so that both are row steps here.
     """
     a = [list(map(int, row)) for row in mat]
     u = _identity(rows)
     v = _identity(cols)
+    u_inv_cols = _identity(rows)
+    v_inv = _identity(cols)
 
     def row_add(i, t, q):
         ai, at, ui, ut = a[i], a[t], u[i], u[t]
         for j in range(cols):
             ai[j] += q * at[j]
+        wt, wi = u_inv_cols[t], u_inv_cols[i]
         for j in range(rows):
             ui[j] += q * ut[j]
+            wt[j] -= q * wi[j]
 
     def col_add(j, t, q):
         for i in range(rows):
             a[i][j] += q * a[i][t]
+        wt, wj = v_inv[t], v_inv[j]
         for i in range(cols):
             v[i][j] += q * v[i][t]
+            wt[i] -= q * wj[i]
 
     def row_swap(i, t):
         a[i], a[t] = a[t], a[i]
         u[i], u[t] = u[t], u[i]
+        u_inv_cols[i], u_inv_cols[t] = u_inv_cols[t], u_inv_cols[i]
 
     def col_swap(j, t):
         for i in range(rows):
             a[i][j], a[i][t] = a[i][t], a[i][j]
         for i in range(cols):
             v[i][j], v[i][t] = v[i][t], v[i][j]
+        v_inv[j], v_inv[t] = v_inv[t], v_inv[j]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        u_inv_cols[i] = [-x for x in u_inv_cols[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -123,6 +133,9 @@ def _snf_shaped(mat, rows, cols):
                 if x and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
+            if best == 1:
+                # No entry is smaller: the rest cannot change the pivot.
+                break
         if pivot is None:
             break
         row_swap(t, pivot[0])
@@ -146,10 +159,12 @@ def _snf_shaped(mat, rows, cols):
             # bound (thousands of digits on 7 x 7 matrices).
             continue
         bad = None
-        for i in range(t + 1, rows):
-            if any(a[i][j] % d for j in range(t + 1, cols)):
-                bad = i
-                break
+        if d > 1:
+            # A unit pivot divides every entry: only a larger one is checked.
+            for i in range(t + 1, rows):
+                if any(a[i][j] % d for j in range(t + 1, cols)):
+                    bad = i
+                    break
         if bad is not None:
             # Divisibility repair: fold the offending row into row t.
             row_add(t, bad, 1)
@@ -157,11 +172,11 @@ def _snf_shaped(mat, rows, cols):
         t += 1
 
     invariants = [a[i][i] for i in range(min(rows, cols)) if a[i][i]]
-    return invariants, u, v
+    return invariants, u, v, [list(r) for r in zip(*u_inv_cols)], v_inv
 
 
 def snf(mat):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix: (invariants, u, v).
 
     >>> snf([[2]])[0]
     [2]
@@ -170,18 +185,7 @@ def snf(mat):
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    return _snf_shaped(mat, rows, cols)
-
-
-def _int_inverse(m):
-    """Exact inverse of a unimodular integer matrix: the Smith normal
-    form gives u * m * v = I, so the inverse is v * u."""
-    n = len(m)
-    inv, u, v = _snf_shaped(m, n, n)
-    if inv != [1] * n:
-        raise ValueError("matrix is not unimodular")
-    return [[sum(v[i][t] * u[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
+    return _snf_shaped(mat, rows, cols)[:3]
 
 
 # -- sparse column plumbing --------------------------------------------------
@@ -208,7 +212,7 @@ def _columns_from_dense(mat, rows, cols, where):
 
 
 def _dense_from_columns(columns, rows, cols):
-    mat = _zero_matrix(rows, cols)
+    mat = [[0] * cols for _ in range(rows)]
     for j, col in enumerate(columns):
         for i, v in col:
             mat[i][j] = v
@@ -521,8 +525,7 @@ def _sparse_invariants(columns, cleared=(), pivots=None):
     core = _dense_from_columns(
         [[(rows[i], v) for i, v in col.items()] for col in cols.values()],
         len(rows), len(cols))
-    inv, _, _ = _snf_shaped(core, len(rows), len(cols))
-    return [1] * units + inv
+    return [1] * units + _snf_shaped(core, len(rows), len(cols))[0]
 
 
 def integral_homology(c: ChainComplex):
@@ -825,18 +828,15 @@ class _Reducer:
       entry j: 1 when the reducer tracks them, else none;
     - (entries, coords, inv): the column's (row, value) pairs, unscaled,
       its coordinates, and the inverse of its pivot entry, so that
-      eliminating with it never divides.  entries is the frozen column
-      itself when no kept column owned its pivot row and its pivot
-      entry does not vanish mod p; otherwise the column was copied into
-      a dict and reduced, and entries are that dict's items.
+      eliminating with it never divides.  entries are the items of the
+      dict the column was reduced in.
 
     Coordinates are what every operation on a column applies alike:
     homology representatives carry a basis vector, kernel columns the
     combination of original columns they came from.  Image columns and
     untracked reductions carry None and do no coordinate work.  The
-    other entries of a frozen column may vanish mod p (Edwards-Walsh
-    attaching maps, Moore spaces), so the elimination deletes only the
-    keys it finds.
+    other entries of a column claimed in place may vanish mod p, so the
+    elimination deletes only the keys it finds.
 
     Within one reduction the pivots strictly decrease: eliminating the
     pivot low subtracts a column whose other rows all lie below low.
@@ -897,22 +897,18 @@ class _Reducer:
     def add(self, vec, coords):
         """Reduce vec and keep what is left under its pivot; returns
         whether anything was kept.  vec is a dict over the field, taken
-        over, or a frozen column, which is kept as it is or copied (see
-        the class).  coords is taken over and may be None."""
+        over, or a frozen column, which is copied.  coords is taken over
+        and may be None."""
         p = self.p
         if vec.__class__ is tuple:
-            low, lead = vec[-1] if vec else (-1, 0)
-            if low < 0 or low in self.kept or (p and not lead % p):
-                vec = ({i: w for i, v in vec if (w := v % p)} if p
-                       else dict(vec))
-        if vec.__class__ is dict:
-            low = self.reduce(vec, coords)
-            if low < 0:
-                return False
-            lead = vec[low]
-            vec = vec.items()
+            vec = {i: w for i, v in vec if (w := v % p)} if p else dict(vec)
+        low = self.reduce(vec, coords)
+        if low < 0:
+            return False
+        lead = vec[low]
         # Reduced leads are mostly 1.
-        self.kept[low] = (vec, coords, 1 if lead == 1 else _inverse(lead, p))
+        self.kept[low] = (vec.items(), coords,
+                          1 if lead == 1 else _inverse(lead, p))
         return True
 
 
@@ -1053,46 +1049,43 @@ def _field_induced(cm: ChainMap, degree, coeff, dual):
 def _integral_free_basis(c: ChainComplex, k):
     """Chains giving a basis of H_k over Z, requiring H_k torsion-free.
 
-    Returns (basis chains, coordinate function)."""
-    inv_k, _, v_k = _snf_shaped(c.boundary(k), c.rank(k - 1), c.rank(k))
-    r = len(inv_k)
+    Returns (basis chains as (cell, coefficient) pairs, coordinate
+    function of a cycle given as a dict from cell to coefficient).
+
+    Two Smith forms do it.  That of d_k, u d_k v = diag(r invariants),
+    makes the columns r.. of v a basis of the k-cycles: a cycle w has
+    the coordinates y = (v_inv w)[r:], and the first r entries of
+    v_inv w vanish.  That of b, the columns of d_{k+1} in those
+    coordinates, u_b b v_b = diag(rb ones) when H_k is free, makes the
+    first rb entries of u_b y span the boundaries: the entries rb.. are
+    the class of w, and the chains v[:, r:] u_b_inv[:, rb:] represent
+    the basis.  Each form keeps the inverses of its transforms, so
+    nothing else is inverted."""
     n = c.rank(k)
+    inv_k, _, v, _, v_inv = _snf_shaped(c.boundary(k), c.rank(k - 1), n)
+    r = len(inv_k)
     m = n - r
-    kernel = [[v_k[i][j] for j in range(r, n)] for i in range(n)]
-    inv_kk, u_kk, v_kk = _snf_shaped(kernel, n, m)
-    if len(inv_kk) != m or any(d != 1 for d in inv_kk):
-        raise RuntimeError("kernel basis is not a direct summand")
-
-    def kernel_coords(w):
-        uw = [sum(u_kk[i][t] * w[t] for t in range(n)) for i in range(n)]
-        if any(uw[m:]):
-            raise ValueError("chain is not a cycle")
-        return [sum(v_kk[i][t] * uw[t] for t in range(m))
-                for i in range(m)]
-
-    d_up = c.boundary(k + 1)
-    up = c.rank(k + 1)
-    image_cols = [kernel_coords([d_up[i][j] for i in range(n)])
-                  for j in range(up)]
-    b = ([[image_cols[j][i] for j in range(up)] for i in range(m)]
-         if up else _zero_matrix(m, 0))
-    inv_b, u_b, _ = _snf_shaped(b, m, up)
+    b = [[sum(row[i] * x for i, x in col) for col in c._columns(k + 1)]
+         for row in v_inv[r:]]
+    inv_b, u_b, _, u_b_inv, _ = _snf_shaped(b, m, c.rank(k + 1))
     if any(d != 1 for d in inv_b):
         raise ValueError(
             "integral induced maps need torsion-free homology; "
             "use field coefficients")
     rb = len(inv_b)
-    u_b_inv = _int_inverse(u_b)
+    kernel = [row[r:] for row in v]
     free = []
     for j in range(rb, m):
-        coords = [u_b_inv[i][j] for i in range(m)]
-        free.append([sum(kernel[i][t] * coords[t] for t in range(m))
-                     for i in range(n)])
+        coords = [row[j] for row in u_b_inv]
+        chain = [sum(x * y for x, y in zip(row, coords)) for row in kernel]
+        free.append([(i, x) for i, x in enumerate(chain) if x])
 
     def free_coords(w):
-        y = kernel_coords(w)
-        z = [sum(u_b[i][t] * y[t] for t in range(m)) for i in range(m)]
-        return z[rb:]
+        y = [sum(row[i] * x for i, x in w.items()) for row in v_inv]
+        if any(y[:r]):
+            raise ValueError("chain is not a cycle")
+        y = y[r:]
+        return [sum(a * x for a, x in zip(row, y)) for row in u_b[rb:]]
 
     return free, free_coords
 
@@ -1104,16 +1097,11 @@ def _integral_induced(cm: ChainMap, degree, dual):
     basis_s, _ = _integral_free_basis(cm.source, degree)
     basis_t, coords_t = _integral_free_basis(cm.target, degree)
     maps = cm._cols.get(degree)
-    rows_t = cm.target.rank(degree)
-    columns = []
-    for chain in basis_s:
-        # _sparse_compose takes only nonzero coefficients.
-        image = _sparse_compose(maps, [(t, x) for t, x in enumerate(chain)
-                                       if x]) if maps else {}
-        columns.append(coords_t([image.get(i, 0) for i in range(rows_t)]))
+    columns = [coords_t(_sparse_compose(maps, chain) if maps else {})
+               for chain in basis_s]
     out = [[columns[j][i] for j in range(len(basis_s))]
            for i in range(len(basis_t))]
-    inv, _, _ = _snf_shaped(out, len(basis_t), len(basis_s))
+    inv = _snf_shaped(out, len(basis_t), len(basis_s))[0]
     injective = len(inv) == len(basis_s)
     surjective = len(inv) == len(basis_t) and all(d == 1 for d in inv)
     return InducedMapReport(out, injective, surjective, degree, Z_GROUP,

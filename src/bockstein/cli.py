@@ -587,16 +587,17 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
-# and Q.  Its largest admitted runs take ~0.9 s (stages 1 at p = 829,
+# and Q.  Its largest admitted runs take ~1.1 s (stages 1 at p = 829,
 # 99 526 cells) and ~0.5 s (stages 2 at p = 7, 72 574 cells) as CLI
-# processes (medians of 8, Python 3.11 on a 2-CPU x86_64 machine).
-# Refused runs would still finish: stages 1 at p = 997 (119 686 cells)
-# takes ~1.5 s in the process, stages 2 at p = 11 (175 294 cells)
-# ~1.4 s.  The limit stays where it was: one number for every stage
-# count cannot admit more stages at small p without admitting stages 1
-# far past p = 829, and memory, not time, bounds the larger runs.  At
-# p = 829 the largest costs are the one-triangle template and the
-# eliminations themselves.
+# processes (medians of 8, Python 3.11 on a 2-CPU x86_64 machine under
+# shared load).  Refused runs would still finish: stages 1 at p = 997
+# (119 686 cells) and stages 2 at p = 11 (175 294 cells) take ~1.0 s
+# each in the process.  The limit stays where it was: one number for
+# every stage count cannot admit more stages at small p without
+# admitting stages 1 far past p = 829, and memory, not time, bounds the
+# larger runs.  At p = 829 the eliminations cost the most (1.0 of 1.6 s
+# under cProfile), then the one-triangle template (0.43 s; ~0.3 s of
+# ~0.7 s in the process without the profiler).
 _MAX_PONTRYAGIN_CELLS = 100_000
 
 

@@ -478,59 +478,50 @@ def mapping_cylinder(f: SimplicialMap) -> Cylinder:
 
 # -- Pontryagin-style stages -------------------------------------------------
 
-def _subdivided_cycle(tri, p):
-    """The 6p-gon boundary of a triangle whose edges carry 2p - 1
-    interior points each.  The corners of tri are vertex positions in
-    the previous stage, so every label is a flat tuple.  Interior labels
-    ('e', u, v, i) are global: u < v are the edge's endpoints and i
-    counts steps from u."""
-    a, b, c = tri
-    cyc = [("o", a)]
-    cyc.extend(("e", a, b, i) for i in range(1, 2 * p))
-    cyc.append(("o", b))
-    cyc.extend(("e", b, c, i) for i in range(1, 2 * p))
-    cyc.append(("o", c))
-    cyc.extend(("e", a, c, i) for i in range(2 * p - 1, 0, -1))
-    return cyc
-
-
 def _one_triangle(p):
-    """The replacement of the single triangle (0, 1, 2), built from
-    labels and read off for _replace_triangles: the blocks (see
-    _blocks) of the stage and of the cone, the label suffixes of the
-    stage's six 'c' vertices, which name the vertices of every copy,
-    and per degree an itemgetter that picks each bonding column of the
-    stage's block among the cone's block of one-entry columns followed
-    by the empty column.  Every copy in a real stage is laid out as this
-    one; only its chain columns and vertex labels are read."""
-    cyl = mapping_cylinder(degree_map_circle(p, 3))
-    cyc = _subdivided_cycle((0, 1, 2), p)
-    label = {}
-    for v in cyl.complex.vertices():
-        side, s = v
-        if side == "L":
-            label[v] = ("c", 0, 1, 2) + s
-        elif len(s) == 1:
-            label[v] = cyc[2 * s[0]]
-        else:
-            # The edge (i, i + 1), or (0, 3p - 1) closing the circle.
-            i, j = s
-            label[v] = cyc[2 * i + 1 if j == i + 1 else 2 * j + 1]
-    stage = SimplicialComplex._make([tuple(sorted([label[v] for v in s]))
-                                     for s in cyl.complex.all_simplices()])
-    apex = ("a", 0, 1, 2)
-    edges = [tuple(sorted(e)) for e in zip(cyc, cyc[1:] + cyc[:1])]
-    cone = SimplicialComplex._make(
-        [(apex,)] + [(x,) for x in cyc] + [(apex, x) for x in cyc]
-        + edges + [(apex,) + e for e in edges])
-    bonding = SimplicialMap._make(
-        stage, cone, {x: apex if x[0] == "c" else x
-                      for (x,) in stage.simplices(0)}).chain_map()._cols
+    """The replacement of the single triangle (0, 1, 2), read off for
+    _replace_triangles: the blocks (see _blocks) of the stage and of the
+    cone, the label suffixes of the stage's six 'c' vertices, which name
+    the vertices of every copy, and per degree an itemgetter that picks
+    each bonding column of the stage's block among the cone's block of
+    one-entry columns followed by the empty column.  Every copy in a
+    real stage is laid out as this one; only its chain columns are read.
+
+    Its vertices are ints that sort as a copy's labels do: the six 'c'
+    vertices, one per simplex of the covered circle on 0, 1, 2, then the
+    2p - 1 'e' vertices of the edges (0, 1), (0, 2), (1, 2), then the
+    three 'o' corners.  Round the 6p-gon, the 3p vertices and 3p edges
+    of the covering circle alternate, vertex i lying over i mod 3.  The
+    stage has 6p triangles over the 6p-gon's edges, each to the 'c'
+    vertex under its covering edge, and 6p joining each covering vertex
+    to its image and to the image's two edges.  The cone joins the
+    6p-gon to an apex that sorts first, as ('a', 0, 1, 2) does."""
+    suffixes = [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+    c = {s: v for v, s in enumerate(suffixes)}
+    m = 2 * p - 1
+    o = 6 + 3 * m
+    e01, e02, e12 = (list(range(6 + t * m, 6 + t * m + m)) for t in range(3))
+    ring = [o] + e01 + [o + 1] + e12 + [o + 2] + e02[::-1] + [o]
+    triangles = []
+    for i in range(3 * p):
+        a, b = i % 3, (i + 1) % 3
+        v, e, w = ring[2 * i:2 * i + 3]
+        edge = c[(min(a, b), max(a, b))]
+        triangles += [(edge, v, e), (edge, e, w)]
+        triangles += [(c[(a,)], c[(min(a, x), max(a, x))], v)
+                      for x in range(3) if x != a]
+    stage = SimplicialComplex(triangles)
+    apex = 0
+    cone = SimplicialComplex([(apex, x, y) for x, y in zip(ring, ring[1:])])
     blocks = (_blocks(stage, 6), _blocks(cone, 1))
-    suffixes = [v[4:] for (v,) in stage.simplices(0)[:6]]
-    picks = [itemgetter(*[col[0][0] if col else bc
-                          for col in bonding.get(k, ((),) * bs)[:bs]])
-             for k, ((bs, _), (bc, _)) in enumerate(zip(*blocks))]
+    # A block simplex goes to the apex and the rest of it, or collapses
+    # when it has a second 'c' vertex.
+    picks = []
+    for k, ((bs, _), (bc, _)) in enumerate(zip(*blocks)):
+        row = {s: r for r, s in enumerate(cone.simplices(k)[:bc])}
+        picks.append(itemgetter(*[bc if len(s) > 1 and s[1] < 6
+                                  else row[(apex,) + s[1:]]
+                                  for s in stage.simplices(k)[:bs]]))
     return blocks, suffixes, picks
 
 

@@ -219,6 +219,19 @@ def smith_invariants(matrix):
     return [int(d) for d in diag if d not in (0, 1)]
 
 
+def _int_inverse(m):
+    """Exact inverse of a unimodular integer matrix: the Smith normal
+    form gives u * m * v = I, so the inverse is v * u."""
+    from bockstein.chains import snf
+
+    n = len(m)
+    inv, u, v = snf(m)
+    if inv != [1] * n:
+        raise ValueError("matrix is not unimodular")
+    return [[sum(v[i][t] * u[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
 def integral_homology_oracle(complex_ranks, boundaries):
     """(free rank, torsion orders) per degree, from sympy normal forms."""
     out = []

@@ -13,7 +13,7 @@ from bockstein.chains import (
     induced_map, integral_homology, join_homology, moore_space,
     quotient_complex, snf,
 )
-from bockstein.chains import _int_inverse, _sparse_invariants
+from bockstein.chains import _snf_shaped, _sparse_invariants
 from bockstein.chains import _invariant_factors
 from bockstein.chains import _boundary_reducer, _convert, _field_basis
 from bockstein import chains, simplicial
@@ -21,10 +21,10 @@ from bockstein.simplicial import SimplicialComplex, pontryagin_stage
 from bockstein.groups import Q, Z, Zmod, ZpInf
 
 from oracles import (
-    betti_oracle, induced_rank_oracle, integral_homology_oracle,
+    _int_inverse, betti_oracle, induced_rank_oracle, integral_homology_oracle,
     join_expect, rank_mod_p, rank_rational, smith_invariants,
 )
-from test_simplicial import wide_faces
+from test_simplicial import simplex_faces, wide_faces
 
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -88,6 +88,18 @@ class TestSmithNormalForm:
         inv = _sparse_invariants(columns)
         assert inv == snf(mat)[0]
         assert [d for d in inv if d > 1] == smith_invariants(mat)
+
+    @given(matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_transforms_come_with_their_inverses(self, mat):
+        rows, cols = len(mat), len(mat[0])
+        inv, u, v, u_inv, v_inv = _snf_shaped(mat, rows, cols)
+        assert (inv, u, v) == snf(mat)
+        for m, m_inv in ((u, u_inv), (v, v_inv)):
+            ident = [[int(i == j) for j in range(len(m))]
+                     for i in range(len(m))]
+            assert mat_mul(m, m_inv) == ident
+            assert mat_mul(m_inv, m) == ident
 
     def test_edge_cases(self):
         assert snf([[0, 0], [0, 0]])[0] == []
@@ -316,6 +328,79 @@ class TestInducedMaps:
         ident = ChainMap(c, c, {0: [[1]], 1: [[1]], 2: [[1]]})
         with pytest.raises(ValueError):
             induced_map(ident, 1, Z)
+
+
+def int_product(a, b, inner, cols):
+    """a (any rows x inner) times b (inner x cols), sizes given so that
+    empty matrices multiply too."""
+    return tuple(tuple(sum(row[t] * b[t][j] for t in range(inner))
+                       for j in range(cols)) for row in a)
+
+
+def image_map(x, m, rng):
+    """A random simplicial map from x onto its image on the vertices
+    0..m."""
+    vmap = {v: rng.randint(0, m) for v in x.vertices()}
+    y = SimplicialComplex([{vmap[v] for v in s} for s in x.all_simplices()])
+    return simplicial.SimplicialMap(x, y, vmap)
+
+
+class TestIntegralInducedMaps:
+    """Complexes on at most 5 vertices have torsion-free homology, so
+    every integral induced map between them is defined."""
+
+    @given(simplex_faces, st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_functorial(self, draw, m, m2, rng):
+        _, faces, _ = draw
+        f = image_map(SimplicialComplex(faces), m, rng)
+        g = image_map(f.target, m2, rng)
+        gf = simplicial.SimplicialMap(f.source, g.target, {
+            v: g.vertex_map[w] for v, w in f.vertex_map.items()})
+        betti = integral_homology(f.target.chain_complex())
+        for k in range(f.source.dim + 1):
+            got = induced_map(gf.chain_map(), k).matrix
+            cols = integral_homology(f.source.chain_complex())[k][0]
+            inner = betti[k][0] if k < len(betti) else 0
+            assert got == int_product(
+                induced_map(g.chain_map(), k).matrix,
+                induced_map(f.chain_map(), k).matrix, inner, cols), k
+
+    @given(simplex_faces)
+    @settings(max_examples=40, deadline=None)
+    def test_identity(self, draw):
+        _, faces, _ = draw
+        x = SimplicialComplex(faces)
+        ident = simplicial.SimplicialMap(x, x, {v: v for v in x.vertices()})
+        for k, (beta, _) in enumerate(integral_homology(x.chain_complex())):
+            rep = induced_map(ident.chain_map(), k)
+            assert rep.matrix == tuple(tuple(int(i == j) for j in range(beta))
+                                       for i in range(beta)), k
+            assert rep.iso
+
+    @given(simplex_faces, st.integers(min_value=0, max_value=4),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_over_q(self, draw, m, rng):
+        _, faces, _ = draw
+        cm = image_map(SimplicialComplex(faces), m, rng).chain_map()
+        for k in range(cm.source.top + 1):
+            rep, rep_q = induced_map(cm, k), induced_map(cm, k, Q)
+            assert rank_rational([list(r) for r in rep.matrix]) == (
+                rank_rational([list(r) for r in rep_q.matrix])), k
+            assert rep.injective == rep_q.injective, k
+            assert rep.surjective <= rep_q.surjective, k
+
+    def test_image_not_a_cycle(self):
+        # A trusted map that does not commute: the cycle of the circle
+        # goes to the edge of an interval.
+        circle = ChainComplex([1, 1])
+        interval = ChainComplex([2, 1], {1: [[-1], [1]]})
+        cm = ChainMap._make(circle, interval, {1: (((0, 1),),)})
+        with pytest.raises(ValueError, match="chain is not a cycle"):
+            induced_map(cm, 1)
 
 
 class TestJoin:
