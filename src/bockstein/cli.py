@@ -104,17 +104,8 @@ def _tokenize(text):
 
 # -- recursive-descent parser ------------------------------------------------
 
-# Each query and function form is a name and its argument slots; a slot
-# names the _Parser method that reads it, after "key=" for a keyword slot.
-_QUERY_ARITY = {
-    "norm": ("cdexpr",),
-    "inorm": ("cdexpr",),
-    "dim": ("cdexpr", "group"),
-    "sigma": ("group",),
-    "decompose": ("cdexpr",),
-    "leq": ("cdexpr", "cdexpr"),
-    "phi": ("cdexpr",),
-}
+# Each function form is a name and its argument slots; a slot names the
+# _Parser method that reads it, after "key=" for a keyword slot.
 
 # Constructors: a ValueError is an input error at the form's position.
 _CD_FORMS = {
@@ -204,10 +195,10 @@ class _Parser:
 
     def query(self):
         tok = self.peek()
-        if (tok[0] == "IDENT" and tok[1] in _QUERY_ARITY
+        if (tok[0] == "IDENT" and tok[1] in _QUERIES
                 and self.peek(1)[0] == "("):
             name = self.advance()[1]
-            return ("query", name, tuple(self.args(_QUERY_ARITY[name])))
+            return ("query", name, tuple(self.args(_QUERIES[name][0])))
         return ("cdexpr", self.cdexpr())
 
     # cd-type expressions, precedence [x] > [+] > \/, each operation
@@ -464,8 +455,25 @@ def _family_json(fam):
             "zp": fam.zp.to_json(), "zpinf": fam.zpinf.to_json()}
 
 
+# Each query: its argument slots (as for the function forms), the
+# function that answers it from the parsed arguments, and the text and
+# JSON renderings of the answer.
+_QUERIES = {
+    "norm": (("cdexpr",), CdType.norm, str, value_to_json),
+    "inorm": (("cdexpr",), CdType.inferior_norm, str, value_to_json),
+    "dim": (("cdexpr", "group"), dim, str, value_to_json),
+    "sigma": (("group",), sigma, lambda fam: fam.render(), _family_json),
+    "decompose": (("cdexpr",), decompose, _decomposition_text,
+                  _decomposition_json),
+    "leq": (("cdexpr", "cdexpr"), CdType.leq,
+            lambda flag: "true" if flag else "false", bool),
+    "phi": (("cdexpr",), CdType.to_phi, _phi_text, _phi_json),
+}
+
+
 def evaluate(parsed):
-    """Run a parsed query; a dict with `text` and `json` renderings.
+    """Answer a parsed query by its _QUERIES entry, or render a bare
+    cd-type expression; a dict with `text` and `json` renderings.
 
     >>> evaluate(parse("norm(Phi(Zp(2),3) [+] Phi(Q,2))"))["text"]
     '4'
@@ -479,30 +487,10 @@ def evaluate(parsed):
         return {"text": f.render(),
                 "json": {"query": "value", "value": f.to_json()}}
     _, name, args = parsed
-    if name in ("norm", "inorm"):
-        f = args[0]
-        v = f.norm() if name == "norm" else f.inferior_norm()
-        return {"text": str(v),
-                "json": {"query": name, "value": value_to_json(v)}}
-    if name == "dim":
-        v = dim(args[0], args[1])
-        return {"text": str(v),
-                "json": {"query": name, "value": value_to_json(v)}}
-    if name == "sigma":
-        fam = sigma(args[0])
-        return {"text": fam.render(),
-                "json": {"query": name, "value": _family_json(fam)}}
-    if name == "decompose":
-        dec = decompose(args[0])
-        return {"text": _decomposition_text(dec),
-                "json": {"query": name, "value": _decomposition_json(dec)}}
-    if name == "leq":
-        flag = args[0].leq(args[1])
-        return {"text": "true" if flag else "false",
-                "json": {"query": name, "value": flag}}
-    phi = args[0].to_phi()
-    return {"text": _phi_text(phi),
-            "json": {"query": "phi", "value": _phi_json(phi)}}
+    _, answer, text, to_json = _QUERIES[name]
+    value = answer(*args)
+    return {"text": text(value),
+            "json": {"query": name, "value": to_json(value)}}
 
 
 # -- table emitters ----------------------------------------------------------

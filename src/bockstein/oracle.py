@@ -229,9 +229,35 @@ def _phi_at(phi, basis):
     return phi.zloc(basis.p)
 
 
+class _Law:
+    __slots__ = ("name", "arity", "domain", "text", "fn")
+
+    def __init__(self, name, domain, text, fn):
+        self.name = name
+        self.arity = fn.__code__.co_argcount - 1    # arguments after ctx
+        self.domain = domain
+        self.text = text
+        self.fn = fn
+
+    def __repr__(self):
+        return f"_Law({self.name!r})"
+
+
+LAWS = {}
+
+
+def _law(name, text, domain="types"):
+    """Register the decorated function in LAWS, in suite order."""
+    def register(fn):
+        LAWS[name] = _Law(name, domain, text, fn)
+        return fn
+    return register
+
+
 # -- the laws -----------------------------------------------------------------
 
 
+@_law("round-trip", "to_phi and from_phi are mutually inverse")
 def _law_round_trip(ctx, f):
     phi = f.to_phi()
     bad = validate(phi)
@@ -255,18 +281,22 @@ def _closure_failures(fs, g):
         yield _fail(_tuple_text(fs), g.render(), back.render())
 
 
+@_law("closure-sum", "[+] of valid types is a valid type")
 def _law_closure_sum(ctx, f1, f2):
     yield from _closure_failures((f1, f2), f1.sum(f2))
 
 
+@_law("closure-times", "[x] of valid types is a valid type")
 def _law_closure_times(ctx, f1, f2):
     yield from _closure_failures((f1, f2), f1.times(f2))
 
 
+@_law("closure-wedge", "wedge of valid types is a valid type")
 def _law_closure_wedge(ctx, f1, f2):
     yield from _closure_failures((f1, f2), f1.wedge(f2))
 
 
+@_law("distributivity-times-sum", "[x] distributes over [+]")
 def _law_dist_times_sum(ctx, f1, f2, f3):
     left = f1.times(f2.sum(f3))
     right = f1.times(f2).sum(f1.times(f3))
@@ -274,6 +304,7 @@ def _law_dist_times_sum(ctx, f1, f2, f3):
         yield _fail(_tuple_text((f1, f2, f3)), right.render(), left.render())
 
 
+@_law("distributivity-sum-wedge", "[+] distributes over wedge")
 def _law_dist_sum_wedge(ctx, f1, f2, f3):
     left = f1.sum(f2.wedge(f3))
     right = f1.sum(f2).wedge(f1.sum(f3))
@@ -281,6 +312,7 @@ def _law_dist_sum_wedge(ctx, f1, f2, f3):
         yield _fail(_tuple_text((f1, f2, f3)), right.render(), left.render())
 
 
+@_law("norm-sandwich", "|F1| + ||F2|| <= ||F1 [+] F2|| <= ||F1|| + ||F2||")
 def _law_norm_sandwich(ctx, f1, f2):
     total = f1.sum(f2).norm()
     lower = f1.inferior_norm() + f2.norm()
@@ -290,6 +322,9 @@ def _law_norm_sandwich(ctx, f1, f2):
                     f"within [{lower}, {upper}]", total)
 
 
+@_law("conjugation-zero",
+      "conjugation is an involution and F [+] conj(F) = (S, S; 0)",
+      domain="extended")
 def _law_conjugation_zero(ctx, f):
     c = f.conjugate()
     if c.conjugate() != f:
@@ -302,12 +337,17 @@ def _law_conjugation_zero(ctx, f):
         yield _fail(f.render(), "norm 0", s.norm())
 
 
+@_law("conjugate-maximal",
+      "conj(F) is maximal among F' with ||F [+] F'|| <= 0",
+      domain="extended")
 def _law_conjugate_maximal(ctx, f, fp):
     if f.sum(fp).norm() <= 0 and not fp.leq(f.conjugate()):
         yield _fail(_tuple_text((f, fp)),
                     "F' below the conjugate", "leq failed")
 
 
+@_law("bockstein-alternative",
+      "phi(Zloc) is phi(Q) or phi(Zpinf) + 1, the max on singular primes")
 def _law_bockstein_alternative(ctx, f):
     phi = f.to_phi()
     spots = [(str(p), *phi.at(p)) for p in ctx.primes]
@@ -325,12 +365,14 @@ def _law_bockstein_alternative(ctx, f):
                             max(phi.phi_q, i + 1), l)
 
 
+@_law("field-bound", "the norm is at most sup d + 1")
 def _law_field_bound(ctx, f):
     cap = f.d.sup() + 1
     if f.norm() > cap:
         yield _fail(f.render(), f"norm at most {cap}", f.norm())
 
 
+@_law("field-additivity", "dim at Q and at Z/p is additive under [+]")
 def _law_field_additivity(ctx, f1, f2):
     s = f1.sum(f2)
     for g in [Q] + [Zmod(p) for p in ctx.primes]:
@@ -341,6 +383,7 @@ def _law_field_additivity(ctx, f1, f2):
                         want, got)
 
 
+@_law("deficiency-product", "deficiency of a sum is e1 + e2 - e1*e2")
 def _law_deficiency_product(ctx, f1, f2):
     s = f1.sum(f2)
     for p in ctx.primes:
@@ -352,6 +395,7 @@ def _law_deficiency_product(ctx, f1, f2):
                         want, deficiency(s, p))
 
 
+@_law("singular-zpinf-sum", "phi(Zpinf) of a sum on common singular primes")
 def _law_singular_zpinf(ctx, f1, f2):
     phi1 = f1.to_phi()
     phi2 = f2.to_phi()
@@ -367,6 +411,7 @@ def _law_singular_zpinf(ctx, f1, f2):
                             want, phi_s.zpinf(p))
 
 
+@_law("power-dichotomy", "||kF|| equals k||F|| or k||F|| - k + 1 for k <= 4")
 def _law_power_dichotomy(ctx, f):
     if not f.is_positive:
         return
@@ -385,6 +430,7 @@ def _law_power_dichotomy(ctx, f):
                         report.power_norms[k])
 
 
+@_law("norm-basis-formula", "||F [+] Phi(G, n)|| by the closed formula")
 def _law_norm_basis(ctx, f):
     if not f.is_positive:
         return
@@ -400,6 +446,7 @@ def _law_norm_basis(ctx, f):
                             want, total)
 
 
+@_law("decompose-rewedge", "the wedge of the decomposition returns the type")
 def _law_decompose(ctx, f):
     if not f.is_positive:
         return
@@ -408,6 +455,7 @@ def _law_decompose(ctx, f):
         yield _fail(f.render(), f.render(), back.render())
 
 
+@_law("regular-factor", "a p-regular factor adds dimensions on the p slots")
 def _law_regular_factor(ctx, f1, f2):
     s = f1.sum(f2)
     for p in ctx.primes:
@@ -421,6 +469,7 @@ def _law_regular_factor(ctx, f1, f2):
                             want, got)
 
 
+@_law("full-valued-factor", "a full-valued factor adds norms")
 def _law_full_valued(ctx, f1, f2):
     if not is_full_valued(f1):
         return
@@ -430,6 +479,8 @@ def _law_full_valued(ctx, f1, f2):
         yield _fail(_tuple_text((f1, f2)), want, got)
 
 
+@_law("torsion-free-subadd",
+      "subadditive dim: exact bound torsion free, +1 in general")
 def _law_tf_subadd(ctx, f1, f2):
     s = f1.sum(f2)
     for g in ctx.tf_groups:
@@ -444,6 +495,8 @@ def _law_tf_subadd(ctx, f1, f2):
                         f"at most {cap}", dim(s, g))
 
 
+@_law("same-type-product",
+      "equal Bockstein functions give equal product norms")
 def _law_same_type(ctx, f):
     for fa, fb in ctx.inf_twins:
         if fa.to_phi() != fb.to_phi():
@@ -457,6 +510,7 @@ def _law_same_type(ctx, f):
                         na, nb)
 
 
+@_law("testing-identity", "the testing space recovers dim from a norm")
 def _law_testing(ctx, f):
     if not f.is_positive:
         return
@@ -472,6 +526,7 @@ def _law_testing(ctx, f):
                             dg, got)
 
 
+@_law("scaling-identities", "scale(k, Phi(G, n)) in closed form")
 def _law_scaling(ctx):
     for n in range(1, ctx.bound + 3):
         for k in range(2, 5):
@@ -500,6 +555,7 @@ def _dim_brute(f, group):
     return max(vals)
 
 
+@_law("sigma-consistency", "dim agrees with brute force over primes up to 100")
 def _law_sigma_consistency(ctx, f):
     for g in ctx.sigma_groups:
         want = _dim_brute(f, g)
@@ -508,6 +564,7 @@ def _law_sigma_consistency(ctx, f):
             yield _fail(f"{f.render()} at {g.render()}", want, got)
 
 
+@_law("anr-basic", "admissible types are of the basic kind")
 def _law_anr_basic(ctx, f):
     if not f.is_positive:
         return
@@ -522,84 +579,7 @@ def _law_anr_basic(ctx, f):
         yield _fail(f.render(), "Basic", kind)
 
 
-class _Law:
-    __slots__ = ("name", "arity", "domain", "text", "fn")
-
-    def __init__(self, name, arity, domain, text, fn):
-        self.name = name
-        self.arity = arity
-        self.domain = domain
-        self.text = text
-        self.fn = fn
-
-    def __repr__(self):
-        return f"_Law({self.name!r})"
-
-
-_LAW_LIST = [
-    _Law("round-trip", 1, "types",
-         "to_phi and from_phi are mutually inverse", _law_round_trip),
-    _Law("closure-sum", 2, "types",
-         "[+] of valid types is a valid type", _law_closure_sum),
-    _Law("closure-times", 2, "types",
-         "[x] of valid types is a valid type", _law_closure_times),
-    _Law("closure-wedge", 2, "types",
-         "wedge of valid types is a valid type", _law_closure_wedge),
-    _Law("distributivity-times-sum", 3, "types",
-         "[x] distributes over [+]", _law_dist_times_sum),
-    _Law("distributivity-sum-wedge", 3, "types",
-         "[+] distributes over wedge", _law_dist_sum_wedge),
-    _Law("norm-sandwich", 2, "types",
-         "|F1| + ||F2|| <= ||F1 [+] F2|| <= ||F1|| + ||F2||",
-         _law_norm_sandwich),
-    _Law("conjugation-zero", 1, "extended",
-         "conjugation is an involution and F [+] conj(F) = (S, S; 0)",
-         _law_conjugation_zero),
-    _Law("conjugate-maximal", 2, "extended",
-         "conj(F) is maximal among F' with ||F [+] F'|| <= 0",
-         _law_conjugate_maximal),
-    _Law("bockstein-alternative", 1, "types",
-         "phi(Zloc) is phi(Q) or phi(Zpinf) + 1, the max on singular primes",
-         _law_bockstein_alternative),
-    _Law("field-bound", 1, "types",
-         "the norm is at most sup d + 1", _law_field_bound),
-    _Law("field-additivity", 2, "types",
-         "dim at Q and at Z/p is additive under [+]", _law_field_additivity),
-    _Law("deficiency-product", 2, "types",
-         "deficiency of a sum is e1 + e2 - e1*e2", _law_deficiency_product),
-    _Law("singular-zpinf-sum", 2, "types",
-         "phi(Zpinf) of a sum on common singular primes", _law_singular_zpinf),
-    _Law("power-dichotomy", 1, "types",
-         "||kF|| equals k||F|| or k||F|| - k + 1 for k <= 4",
-         _law_power_dichotomy),
-    _Law("norm-basis-formula", 1, "types",
-         "||F [+] Phi(G, n)|| by the closed formula", _law_norm_basis),
-    _Law("decompose-rewedge", 1, "types",
-         "the wedge of the decomposition returns the type", _law_decompose),
-    _Law("regular-factor", 2, "types",
-         "a p-regular factor adds dimensions on the p slots",
-         _law_regular_factor),
-    _Law("full-valued-factor", 2, "types",
-         "a full-valued factor adds norms", _law_full_valued),
-    _Law("torsion-free-subadd", 2, "types",
-         "subadditive dim: exact bound torsion free, +1 in general",
-         _law_tf_subadd),
-    _Law("same-type-product", 1, "types",
-         "equal Bockstein functions give equal product norms",
-         _law_same_type),
-    _Law("testing-identity", 1, "types",
-         "the testing space recovers dim from a norm", _law_testing),
-    _Law("scaling-identities", 0, "types",
-         "scale(k, Phi(G, n)) in closed form", _law_scaling),
-    _Law("sigma-consistency", 1, "types",
-         "dim agrees with brute force over primes up to 100",
-         _law_sigma_consistency),
-    _Law("anr-basic", 1, "types",
-         "admissible types are of the basic kind", _law_anr_basic),
-]
-
-LAWS = {law.name: law for law in _LAW_LIST}
-LAW_NAMES = tuple(law.name for law in _LAW_LIST)
+LAW_NAMES = tuple(LAWS)
 
 
 class LawReport:
@@ -626,20 +606,26 @@ class LawReport:
 
 
 def select_laws(laws):
-    """Resolve a law selection: 'all', a comma list, or an iterable."""
+    """Resolve a law selection: 'all', a comma list, or an iterable.
+
+    Laws come in the order named; an unknown name, or a selection that
+    names no law, is a ValueError.
+    """
     if laws is None or laws == "all":
-        return list(_LAW_LIST)
+        return list(LAWS.values())
     names = ([t.strip() for t in laws.split(",") if t.strip()]
              if isinstance(laws, str) else list(laws))
     out = []
     for name in names:
         if name == "all":
-            out.extend(_LAW_LIST)
+            out.extend(LAWS.values())
             continue
         if name not in LAWS:
             raise ValueError(f"unknown law {name!r}; known laws: "
                              + ", ".join(LAW_NAMES))
         out.append(LAWS[name])
+    if not out:
+        raise ValueError("no laws selected")
     return out
 
 
@@ -672,15 +658,19 @@ def _run_law(ctx, law):
 def check_laws(universe: Universe, laws="all", samples=10 ** 4):
     """Check the selected laws over the universe; a list of LawReport.
 
-    Exhaustive when the tuple space has at most 10^5 members, else
-    `samples` tuples drawn with a fixed seed.  Laws about conjugation
-    always run over the extended variant of the universe.
+    `laws` is resolved by select_laws, so an empty selection is refused.
+    A law is exhaustive when its tuple space has at most 10^5 members,
+    else it checks `samples` tuples (a positive int, not a bool) drawn
+    with a fixed seed.  Laws about conjugation always run over the
+    extended variant of the universe.  Each law is called through
+    `LAWS[name].fn` at call time.
 
     >>> reports = check_laws(Universe([2], 2), laws="norm-sandwich")
     >>> reports[0].law, reports[0].checked, reports[0].ok
     ('norm-sandwich', 36, True)
     """
-    if not isinstance(samples, int) or samples < 1:
+    if (not isinstance(samples, int) or isinstance(samples, bool)
+            or samples < 1):
         raise ValueError(f"samples must be a positive integer: {samples!r}")
     selected = select_laws(laws)
     ctx = _Context(universe, samples)

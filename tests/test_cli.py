@@ -387,6 +387,11 @@ class TestCheckLaws:
         assert code == 2
         assert "unknown law" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_empty_selection_exits_two(self, capsys, flags):
+        code, out, err = run(capsys, ["check-laws", *flags, "--laws", ",,"])
+        assert (code, out, err) == (2, "", "error: no laws selected\n")
+
     def test_bad_bound_exits_two(self, capsys):
         code, _, err = run(capsys, ["check-laws", "--max", "0"])
         assert code == 2

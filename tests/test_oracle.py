@@ -1,5 +1,6 @@
 """Tests for the finite-model law checker."""
 
+import inspect
 import random
 
 import pytest
@@ -116,10 +117,61 @@ class TestSelectLaws:
         with pytest.raises(ValueError, match="unknown law"):
             select_laws("no-such-law")
 
+    @pytest.mark.parametrize("laws", [",,", "", " , ", []])
+    def test_empty_selection_is_refused(self, laws):
+        with pytest.raises(ValueError, match="no laws selected"):
+            select_laws(laws)
+        with pytest.raises(ValueError, match="no laws selected"):
+            check_laws(Universe([2], 1), laws=laws)
+
     def test_registry_shape(self):
         assert len(LAW_NAMES) == 25
         assert len(set(LAW_NAMES)) == 25
         assert set(LAWS) == set(LAW_NAMES)
+
+
+class TestRegistry:
+    """Each law is declared once, by the decorator on its function."""
+
+    def test_suite_order(self):
+        # Reports come in this order, and the laws benchmark pins it.
+        assert LAW_NAMES == (
+            "round-trip", "closure-sum", "closure-times", "closure-wedge",
+            "distributivity-times-sum", "distributivity-sum-wedge",
+            "norm-sandwich", "conjugation-zero", "conjugate-maximal",
+            "bockstein-alternative", "field-bound", "field-additivity",
+            "deficiency-product", "singular-zpinf-sum", "power-dichotomy",
+            "norm-basis-formula", "decompose-rewedge", "regular-factor",
+            "full-valued-factor", "torsion-free-subadd", "same-type-product",
+            "testing-identity", "scaling-identities", "sigma-consistency",
+            "anr-basic")
+        assert [law.name for law in LAWS.values()] == list(LAW_NAMES)
+
+    def test_arity_is_the_function_arity(self):
+        for law in LAWS.values():
+            ctx, *rest = inspect.signature(law.fn).parameters.values()
+            assert ctx.name == "ctx"
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in rest)
+            assert law.arity == len(rest), law.name
+        assert {law.arity for law in LAWS.values()} == {0, 1, 2, 3}
+        assert [name for name, law in LAWS.items()
+                if law.domain == "extended"] == ["conjugation-zero",
+                                                 "conjugate-maximal"]
+
+    def test_check_laws_calls_the_bound_function(self, monkeypatch):
+        law = LAWS["field-bound"]
+
+        def stub(ctx, f):
+            if f.render() == "nat(2)":
+                yield {"inputs": f.render(), "expected": "e", "got": "g"}
+
+        monkeypatch.setattr(law, "fn", stub)
+        [report] = check_laws(Universe([2], 2), laws="field-bound")
+        assert (report.checked, report.failures) == (
+            6, [{"inputs": "nat(2)", "expected": "e", "got": "g"}])
+        monkeypatch.undo()
+        [report] = check_laws(Universe([2], 2), laws="field-bound")
+        assert (report.checked, report.ok) == (6, True)
 
 
 class TestCheckLaws:
@@ -148,6 +200,9 @@ class TestCheckLaws:
             check_laws(Universe([2], 2), samples=0)
         with pytest.raises(ValueError):
             check_laws(Universe([2], 2), samples="many")
+        with pytest.raises(ValueError):
+            check_laws(Universe([2, 3], 4), laws="distributivity-times-sum",
+                       samples=True)
 
     def test_sampling_is_deterministic(self):
         # 196^3 tuples exceed the exhaustive limit, so ternary laws
