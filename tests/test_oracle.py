@@ -128,13 +128,7 @@ class TestSelectLaws:
         assert len(LAW_NAMES) == 25
         assert len(set(LAW_NAMES)) == 25
         assert set(LAWS) == set(LAW_NAMES)
-
-
-class TestRegistry:
-    """Each law is declared once, by the decorator on its function."""
-
-    def test_suite_order(self):
-        # Reports come in this order, and the laws benchmark pins it.
+        # Reports come in suite order, and the laws benchmark pins it.
         assert LAW_NAMES == (
             "round-trip", "closure-sum", "closure-times", "closure-wedge",
             "distributivity-times-sum", "distributivity-sum-wedge",
@@ -146,6 +140,10 @@ class TestRegistry:
             "testing-identity", "scaling-identities", "sigma-consistency",
             "anr-basic")
         assert [law.name for law in LAWS.values()] == list(LAW_NAMES)
+
+
+class TestRegistry:
+    """Each law is declared once, by the decorator on its function."""
 
     def test_arity_is_the_function_arity(self):
         for law in LAWS.values():
