@@ -87,22 +87,25 @@ def _snf_shaped(mat, rows, cols):
     u_inv_cols = _identity(rows)
     v_inv = _identity(cols)
 
+    def add(dst, src, q):
+        """dst += q * src, walking only the nonzero entries of src."""
+        for j, x in enumerate(src):
+            if x:
+                dst[j] += q * x
+
     def row_add(i, t, q):
-        ai, at, ui, ut = a[i], a[t], u[i], u[t]
-        for j in range(cols):
-            ai[j] += q * at[j]
-        wt, wi = u_inv_cols[t], u_inv_cols[i]
-        for j in range(rows):
-            ui[j] += q * ut[j]
-            wt[j] -= q * wi[j]
+        add(a[i], a[t], q)
+        add(u[i], u[t], q)
+        add(u_inv_cols[t], u_inv_cols[i], -q)
 
     def col_add(j, t, q):
-        for i in range(rows):
-            a[i][j] += q * a[i][t]
-        wt, wj = v_inv[t], v_inv[j]
-        for i in range(cols):
-            v[i][j] += q * v[i][t]
-            wt[i] -= q * wj[i]
+        # Column t's entries are one per row: skip the rows where it is 0.
+        for m in (a, v):
+            for line in m:
+                x = line[t]
+                if x:
+                    line[j] += q * x
+        add(v_inv[t], v_inv[j], -q)
 
     def row_swap(i, t):
         a[i], a[t] = a[t], a[i]
@@ -230,8 +233,8 @@ def _nonzero_degrees(columns):
 def _restrict(cols, keep_cols, keep_rows):
     """The columns keep_cols of a frozen matrix, cut down to the rows in
     keep_rows (a dict from old to new row, increasing) and renumbered."""
-    return tuple(tuple((keep_rows[i], v) for i, v in cols[j] if i in keep_rows)
-                 for j in keep_cols)
+    return tuple([tuple([(keep_rows[i], v) for i, v in cols[j]
+                         if i in keep_rows]) for j in keep_cols])
 
 
 def _sparse_compose(cols_low, col):
@@ -491,10 +494,12 @@ def _sparse_invariants(columns, cleared=(), pivots=None):
         col = cols.get(j)
         if col is None or len(col) != size:
             continue
-        candidates = [i for i, v in col.items() if v == 1 or v == -1]
-        if not candidates:
+        i = None
+        for r, v in col.items():
+            if (v == 1 or v == -1) and (i is None or len(where[r]) < fewest):
+                i, fewest = r, len(where[r])
+        if i is None:
             continue
-        i = min(candidates, key=lambda r: len(where[r]))
         del cols[j]
         for r in col:
             where[r].discard(j)

@@ -570,9 +570,9 @@ def emit_table(kind, n, m=None, p=2, q=3):
 # 2-CPU Xeon with Python 3.11, and vary up to twofold with its load;
 # start-up (import included) adds ~0.1 s to a CLI process.  The largest
 # admitted runs, mp-pair at p = 53 (1920 cells) and ew at n = 9 (2047
-# cells), take ~0.05 s and ~0.02 s; the work grows a little faster than
-# the cell count (mp-pair at p = 199, 7176 cells: ~0.2 s), so this limit
-# is well inside what finishes.
+# cells), take ~0.02 s and ~0.013 s (medians of 9); the work grows a
+# little faster than the cell count (mp-pair at p = 199, 7176 cells:
+# ~0.08 s), so this limit is well inside what finishes.
 _MAX_CELLS = 2048
 # pontryagin counts the cells of L_{stages+1}, which it reduces over Z/p
 # and Q.  Its largest admitted runs take ~1.1 s (stages 1 at p = 829,

@@ -13,22 +13,27 @@ from; a Pontryagin stage names each new vertex by a tag and the
 positions of the previous stage's vertices, so its labels stay flat
 tuples of a tag and ints at every stage.
 
-A complex looks its simplices up by label only through an index built
-on first use.  Pontryagin stages never need it: each stage, and the cone
-its bonding map lands in, lists in every degree one block per triangle
-of the stage before, each laid out as the replacement of a single
-triangle, then the shared subdivided 1-skeleton.  So their chain
-complexes and bonding chain maps are emitted in basis order from that
-one-triangle template, and the chain data is their one record: their
-simplices are read off the boundary columns, and the bondings' vertex
-maps off the degree-0 columns, only when a caller first reads them.
-Homology, f-vectors and induced maps read no label.  Edwards-Walsh
-skeleta, too, take their columns from the complex's chain complex.
+Chain data, relative index sets and chain maps are built on vertex
+positions: a simplex is also the tuple of its vertices' positions in
+the sorted vertex list, which sorts as its labels do.  A complex looks
+its simplices up by label only through an index built on first use,
+and only has needs it.  Mapping cylinders number the face poset's
+elements once and enumerate its chains as tuples of those positions;
+each Pontryagin stage, and the cone its bonding map lands in, lists in
+every degree one block per triangle of the stage before, each laid out
+as the replacement of a single triangle, then the shared subdivided
+1-skeleton, and is emitted in basis order from that one-triangle
+template.  So the chain data is the one record of cylinders, cones and
+stages: their simplices are read off the boundary columns, and the
+bondings' vertex maps off the degree-0 columns, only when a caller
+first reads them.  Homology, relative homology, f-vectors and induced
+maps read no label.  Edwards-Walsh skeleta, too, take their columns
+from the complex's chain complex.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, count, repeat
 from operator import eq, itemgetter
 
 from . import chains
@@ -58,19 +63,34 @@ __all__ = [
 ]
 
 
-def _boundary_column(s, index):
-    """The frozen boundary column of the sorted simplex s.  Dropping a
-    later vertex leaves an earlier face, so the rows come out ascending
-    when i runs down."""
-    return tuple([(index[s[:i] + s[i + 1:]][1], -1 if i % 2 else 1)
-                  for i in range(len(s) - 1, -1, -1)])
-
-
 def _sorted_by_degree(closed):
     by_dim = {}
     for s in closed:
         by_dim.setdefault(len(s) - 1, []).append(s)
     return {k: tuple(sorted(v)) for k, v in by_dim.items()}
+
+
+def _chains_on_positions(degrees):
+    """The chain complex, in the sorted-vertex orientation, of a complex
+    given per degree by its simplices as tuples of vertex positions,
+    every tuple and every degree sorted.  A vertex's row is its
+    position; the faces of a k-simplex (k >= 2) are looked up among the
+    int tuples of degree k - 1, one face slot at a time.  Dropping a
+    later vertex leaves an earlier face, so the rows come out ascending
+    when the dropped vertex runs down."""
+    columns = {}
+    if len(degrees) > 1:
+        columns[1] = tuple([((a, -1), (b, 1)) for a, b in degrees[1]])
+    for k in range(2, len(degrees)):
+        row = dict(zip(degrees[k - 1], count()))
+        columns[k] = tuple(zip(*[
+            zip(map(row.__getitem__,
+                    map(itemgetter(*[j for j in range(k + 1) if j != i]),
+                        degrees[k])),
+                repeat(-1 if i % 2 else 1))
+            for i in range(k, -1, -1)]))
+    return chains.ChainComplex._make(tuple(map(len, degrees)) or (0,),
+                                     columns)
 
 
 def _perm_sign(values):
@@ -143,29 +163,56 @@ class SimplicialComplex:
     @property
     def _by_dim(self):
         """Each degree's tuple of simplices.  A complex made by _lazy
-        reads them off its boundary columns on first use: a simplex's
-        vertices are those of its faces (any two of them cover it),
-        taken as positions in the sorted vertex list, which sort as the
-        labels do.  Each degree keeps the order of its columns."""
+        makes them on first use from its vertex labels and the position
+        tuples that _positions reads off its boundary columns."""
         if self._degrees is None:
             labels = self._build()
+            self._degrees = {k: tuple([tuple([labels[v] for v in s])
+                                       for s in ss])
+                             for k, ss in enumerate(self._positions())}
             self._build = None
-            cols = self._chain._cols
-            faces = [(i,) for i in range(len(labels))]
-            degrees = {0: tuple([(v,) for v in labels])} if labels else {}
-            for k in range(1, len(self._chain.ranks)):
-                faces = [tuple(sorted({*faces[col[0][0]], *faces[col[1][0]]}))
-                         for col in cols[k]]
-                degrees[k] = tuple([tuple([labels[v] for v in s])
-                                    for s in faces])
-            self._degrees = degrees
         return self._degrees
+
+    def _positions(self):
+        """Per degree, the simplices in the order of simplices(k), each
+        as the tuple of its vertices' positions in the sorted vertex
+        list.  Positions sort as the labels do, so every tuple and every
+        degree is sorted.  A complex made by _lazy reads them off its
+        boundary columns and makes no label: the rows of a column ascend,
+        so its first two faces drop the last and the second-to-last
+        vertex, and the simplex is the first with the last vertex of the
+        second."""
+        if self._degrees is not None:
+            where = {v: n for n, v in enumerate(self.vertices())}
+            return [[tuple([where[v] for v in s]) for s in self._degrees[k]]
+                    for k in range(len(self._degrees))]
+        cols = self._chain._cols
+        ranks = self.f_vector()
+        faces = [(v,) for v in range(ranks[0])] if ranks else []
+        out = [faces] if ranks else []
+        for k in range(1, len(ranks)):
+            faces = [faces[col[0][0]] + faces[col[1][0]][-1:]
+                     for col in cols[k]]
+            out.append(faces)
+        return out
+
+    def _position_index(self):
+        """Each simplex's position tuple, mapped to its index in its
+        degree (tuples of different degrees differ in length)."""
+        index = {}
+        for ss in self._positions():
+            index.update(zip(ss, count()))
+        return index
+
+    def _vertex_labels(self):
+        """The sorted vertex labels: all a complex made by _lazy makes
+        of its labels here."""
+        return self._build() if self._degrees is None else self.vertices()
 
     @property
     def _index(self):
         """Each simplex's (degree, position), built on first use: only
-        label lookups (has, indices_of, and chain data built from
-        labels) need it."""
+        label lookups (has) need it."""
         if self._lookup is None:
             self._lookup = {s: (k, n) for k, ss in self._by_dim.items()
                             for n, s in enumerate(ss)}
@@ -216,29 +263,31 @@ class SimplicialComplex:
         """Simplicial chains with the sorted-vertex orientation.  The
         degree-k basis order matches simplices(k); the result is cached
         so maps over the same complex share the object."""
-        if self._chain is not None:
-            return self._chain
-        ranks = self.f_vector() or (0,)
-        index = self._index
-        self._chain = chains.ChainComplex._make(ranks, {
-            k: tuple(_boundary_column(s, index)
-                     for s in self.simplices(k))
-            for k in range(1, len(ranks))})
+        if self._chain is None:
+            self._chain = _chains_on_positions(self._positions())
         return self._chain
 
     def indices_of(self, sub):
         """Index sets of a subcomplex, per degree, for relative work.
-        Both complexes list each degree in sorted order, so the indices
+        Sub's vertex labels are placed among this complex's once; then
+        each simplex of sub, as a tuple of positions, is looked up among
+        this complex's.  Positions sort as the labels do, so the indices
         come out ascending."""
-        index = self._index
+        where = dict(zip(self._vertex_labels(), count()))
+        labels = sub._vertex_labels()
+        place = list(map(where.get, labels))
+        # Sub's vertices are often this complex's first ones, in order.
+        identity = place == list(range(len(place)))
+        index = self._position_index()
         out = {}
-        for k in range(sub.dim + 1):
-            idx = []
-            for s in sub.simplices(k):
-                if s not in index:
-                    raise ValueError(f"not a simplex of this complex: {s!r}")
-                idx.append(index[s][1])
-            out[k] = tuple(idx)
+        for k, ss in enumerate(sub._positions()):
+            idx = tuple(map(index.get, ss if identity else [
+                tuple(map(place.__getitem__, s)) for s in ss]))
+            if None in idx:
+                s = ss[idx.index(None)]
+                raise ValueError("not a simplex of this complex: "
+                                 f"{tuple([labels[v] for v in s])!r}")
+            out[k] = idx
         return out
 
     def __eq__(self, other):
@@ -257,12 +306,13 @@ class SimplicialMap:
     """A simplicial map given on vertices; images of simplices are
     checked to be simplices of the target (collapses are allowed)."""
 
-    __slots__ = ("source", "target", "_vertex_map", "_chain")
+    __slots__ = ("source", "target", "_vertex_map", "_places", "_chain")
 
     def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
         self._vertex_map = dict(vertex_map)
+        self._places = None
         self._chain = None
         for v in source.vertices():
             if v not in self.vertex_map:
@@ -280,58 +330,76 @@ class SimplicialMap:
                     f"image of {s!r} is not a simplex of the target")
 
     @classmethod
-    def _make(cls, source, target, vertex_map, chain=None):
-        """Trusted constructor: vertex_map is a dict defined on every
-        source vertex and carrying simplices to simplices, and chain,
-        when given, is the chain map that chain_map would build.  Given
-        chain, vertex_map may be None: it is then read off chain on
-        first use (see vertex_map).  Nothing is checked."""
+    def _make(cls, source, target, vertex_map, chain=None, places=None):
+        """Trusted constructor: the map is given by one of vertex_map, a
+        dict defined on every source vertex; places, the position among
+        the target's vertices of each source vertex's image, in source
+        vertex order; or chain, the chain map that chain_map would build.
+        It carries simplices to simplices.  What is not given is made on
+        first use (see vertex_map, _positions, chain_map).  Nothing is
+        checked."""
         f = cls.__new__(cls)
         f.source = source
         f.target = target
         f._vertex_map = vertex_map
+        f._places = places
         f._chain = chain
         return f
 
     @property
     def vertex_map(self):
-        """The image of each source vertex.  A map made with its chain
-        map alone reads it on first use off the degree-0 columns: the
-        column of the j-th source vertex holds one row, the position of
-        its image among the target's vertices."""
+        """The image of each source vertex, made on first use off the
+        vertex positions of a map made without it."""
         if self._vertex_map is None:
-            tv = self.target.vertices()
-            self._vertex_map = {v: tv[col[0][0]] for v, col in zip(
-                self.source.vertices(), self._chain._cols[0])}
+            tv = self.target._vertex_labels()
+            self._vertex_map = dict(zip(self.source._vertex_labels(),
+                                        [tv[w] for w in self._positions()]))
         return self._vertex_map
+
+    def _positions(self):
+        """Per source vertex, in order, the position of its image among
+        the target's vertices.  A map made with its chain map alone reads
+        them off the degree-0 columns: the column of the j-th source
+        vertex holds one row, that position."""
+        if self._places is None:
+            if self._vertex_map is None:
+                self._places = [col[0][0]
+                                for col in self._chain._cols.get(0, ())]
+            else:
+                where = {w: n for n, w in
+                         enumerate(self.target._vertex_labels())}
+                self._places = [where[self._vertex_map[v]]
+                                for v in self.source._vertex_labels()]
+        return self._places
 
     def image(self, simplex):
         return tuple(sorted(set(self.vertex_map[v] for v in simplex)))
 
     def chain_map(self):
-        """The induced map of simplicial chain complexes, cached.
-        Simplices collapsed by the vertex map contribute zero."""
+        """The induced map of simplicial chain complexes, cached, built
+        on vertex positions.  Simplices collapsed by the vertex map
+        contribute zero."""
         if self._chain is not None:
             return self._chain
-        index = self.target._index
-        vmap = self.vertex_map
+        index = self.target._position_index()
+        places = self._positions()
         columns = {}
-        for k in range(self.source.dim + 1):
+        for k, ss in enumerate(self.source._positions()):
             cols = []
-            for s in self.source.simplices(k):
-                imgs = tuple([vmap[v] for v in s])
+            for s in ss:
+                imgs = tuple([places[v] for v in s])
                 t = tuple(sorted(imgs))
-                hit = index.get(t)
-                if hit is not None:
+                n = index.get(t)
+                if n is not None:
                     # An image already in order keeps the orientation.
-                    sign = 1 if t == imgs else _perm_sign(imgs)
-                    cols.append(((hit[1], sign),))
+                    cols.append(((n, 1 if t == imgs else _perm_sign(imgs)),))
                 elif any(map(eq, t, t[1:])):
                     # A collapsed simplex repeats a vertex, next to
                     # itself once sorted.
                     cols.append(())
                 else:
-                    raise KeyError(t)
+                    tv = self.target._vertex_labels()
+                    raise KeyError(tuple([tv[w] for w in t]))
             columns[k] = tuple(cols)
         self._chain = chains.ChainMap._make(self.source.chain_complex(),
                                             self.target.chain_complex(),
@@ -348,21 +416,24 @@ def full_simplex(n):
     """The full n-simplex on vertices 0..n, top face included."""
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"need n >= 0: {n!r}")
-    return SimplicialComplex([tuple(range(n + 1))])
+    return SimplicialComplex._make([s for k in range(1, n + 2)
+                                    for s in combinations(range(n + 1), k)])
 
 
 def boundary_simplex(n):
     """The boundary of the n-simplex, a combinatorial (n-1)-sphere."""
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"need n >= 1: {n!r}")
-    return SimplicialComplex(combinations(range(n + 1), n))
+    return SimplicialComplex._make([s for k in range(1, n + 1)
+                                    for s in combinations(range(n + 1), k)])
 
 
 def circle(k):
     """The cyclic triangulation of the circle on vertices 0..k-1."""
     if not (isinstance(k, int) and k >= 3):
         raise ValueError(f"a triangulated circle needs k >= 3: {k!r}")
-    return SimplicialComplex([(i, (i + 1) % k) for i in range(k)])
+    return SimplicialComplex._make([(i,) for i in range(k)] + [(0, k - 1)]
+                                   + [(i, i + 1) for i in range(k - 1)])
 
 
 def degree_map_circle(p, k=3):
@@ -376,8 +447,9 @@ def degree_map_circle(p, k=3):
         raise ValueError(f"covering degree must be at least 2: {p!r}")
     if not (isinstance(k, int) and k >= 3):
         raise ValueError(f"base circle needs k >= 3: {k!r}")
-    return SimplicialMap._make(circle(p * k), circle(k),
-                               {i: i % k for i in range(p * k)})
+    # The vertices of both circles are their own positions.
+    return SimplicialMap._make(circle(p * k), circle(k), None,
+                               places=[i % k for i in range(p * k)])
 
 
 # -- mapping cylinders -------------------------------------------------------
@@ -389,6 +461,15 @@ class Cylinder:
     joined along the map; domain and target are the two ends (the ends
     carry the barycentric subdivisions of the original complexes).
     retraction collapses everything onto the target end.
+
+    The poset's elements are numbered once, in the sorted order of their
+    labels ('K', s) and ('L', t): every source simplex s, in order, then
+    every target simplex t.  The chains are enumerated as tuples of
+    those positions, which sort as the labels do, so the complex and its
+    ends come with their chain complexes and make their labels only when
+    a caller reads one (see SimplicialComplex._lazy).  The three maps,
+    and the cone and collapse map of collapse, are given by positions
+    too.
     """
 
     __slots__ = ("map", "complex", "domain", "target",
@@ -396,70 +477,92 @@ class Cylinder:
 
     def __init__(self, f: SimplicialMap):
         self.map = f
-        elements = ([("K", s) for s in f.source.all_simplices()]
-                    + [("L", s) for s in f.target.all_simplices()])
+        # A simplex as the tuple of its vertex positions sorts as its
+        # labels do, in both complexes.
+        ks = sorted(chain.from_iterable(f.source._positions()))
+        ls = sorted(chain.from_iterable(f.target._positions()))
+        nk = len(ks)
+        n = nk + len(ls)
+        at_k = {s: x for x, s in enumerate(ks)}
+        at_l = {t: y for y, t in enumerate(ls, nk)}
         # x < y in the poset when x is a proper face of y on the same
-        # side, or x is in K and f(x) is a face of y in L.  Each y is
-        # appended to the lists of the elements below it, visiting y in
-        # elements order, so every list keeps that order.
+        # side, or x is in K and f(x) is a face of y in L; up[x] lists
+        # the elements above x.
+        up = [[] for _ in range(n)]
+        for at in (at_k, at_l):
+            for s, y in at.items():
+                for k in range(1, len(s)):
+                    for face in combinations(s, k):
+                        up[at[face]].append(y)
+        places = f._positions()
         by_image = {}
-        for s in f.source.all_simplices():
-            by_image.setdefault(f.image(s), []).append(("K", s))
-        succ = {x: [] for x in elements}
-        for y in elements:
-            side, s = y
-            for k in range(1, len(s) + 1):
-                for face in combinations(s, k):
-                    if k < len(s):
-                        succ[(side, face)].append(y)
-                    if side == "L":
-                        for x in by_image.get(face, ()):
-                            succ[x].append(y)
-        found = []
+        retract = []
+        for x, s in enumerate(ks):
+            image = tuple(sorted({places[v] for v in s}))
+            by_image.setdefault(image, []).append(x)
+            retract.append(at_l[image] - nk)
+        retract.extend(range(n - nk))
+        for t in ls:
+            for k in range(1, len(t) + 1):
+                for face in combinations(t, k):
+                    for x in by_image.get(face, ()):
+                        up[x].append(at_l[t])
+        # Every chain of the poset is found once, in poset order, by
+        # extending each chain by an element above its top.  K lies only
+        # below L, and every K element sorts before every L element: a
+        # chain lies in the K end iff its last position does, and in the
+        # L end iff its first position does.
+        degrees = []
+        level = [(x,) for x in range(n)]
+        while level:
+            degrees.append(sorted([tuple(sorted(c)) for c in level]))
+            level = [c + (y,) for c in level for y in up[c[-1]]]
+        domain = [d for d in ([s for s in ss if s[-1] < nk]
+                              for ss in degrees) if d]
+        target = [d for d in ([tuple([v - nk for v in s])
+                               for s in ss if s[0] >= nk]
+                              for ss in degrees) if d]
 
-        def grow(chain, x):
-            chain = chain + (x,)
-            found.append(tuple(sorted(chain)))
-            for y in succ[x]:
-                grow(chain, y)
+        def labels():
+            sv = f.source._vertex_labels()
+            tv = f.target._vertex_labels()
+            return ([("K", tuple([sv[v] for v in s])) for s in ks]
+                    + [("L", tuple([tv[v] for v in t])) for t in ls])
 
-        for x in elements:
-            grow((), x)
-        # Every chain of the poset is found once, and so is every part
-        # of it, so found is closed under faces.  K lies only below L,
-        # and "K" sorts before "L": a chain lies in the K end iff its
-        # last label does, and in the L end iff its first label does.
-        self.complex = SimplicialComplex._make(found)
-        self.domain = SimplicialComplex._make(
-            [c for c in found if c[-1][0] == "K"])
-        self.target = SimplicialComplex._make(
-            [c for c in found if c[0][0] == "L"])
+        self.complex = SimplicialComplex._lazy(
+            labels, _chains_on_positions(degrees))
+        self.domain = SimplicialComplex._lazy(
+            lambda: labels()[:nk], _chains_on_positions(domain))
+        self.target = SimplicialComplex._lazy(
+            lambda: labels()[nk:], _chains_on_positions(target))
         self.domain_inclusion = SimplicialMap._make(
-            self.domain, self.complex, {v: v for v in self.domain.vertices()})
+            self.domain, self.complex, None, places=range(nk))
         self.target_inclusion = SimplicialMap._make(
-            self.target, self.complex, {v: v for v in self.target.vertices()})
-        retract = {}
-        for v in self.complex.vertices():
-            retract[v] = ("L", f.image(v[1])) if v[0] == "K" else v
-        self.retraction = SimplicialMap._make(self.complex, self.target,
-                                              retract)
+            self.target, self.complex, None, places=range(nk, n))
+        self.retraction = SimplicialMap._make(
+            self.complex, self.target, None, places=retract)
 
     def collapse(self):
         """Collapse the target end to a point: returns (cone, xi, base)
         where cone is the cone on the domain end, xi the collapse map,
         and base the domain end inside the cone.
 
-        The cone is collected closed under faces and sorted ("K" sorts
-        before "apex"), so both are built by the trusted constructors."""
-        apex = ("apex",)
-        cone_simplices = list(self.domain.all_simplices())
-        cone_simplices.extend(s + (apex,)
-                              for s in self.domain.all_simplices())
-        cone_simplices.append((apex,))
-        cone = SimplicialComplex._make(cone_simplices)
-        vmap = {v: (v if v[0] == "K" else apex)
-                for v in self.complex.vertices()}
-        xi = SimplicialMap._make(self.complex, cone, vmap)
+        The cone's apex ('apex',) sorts after every K element, so its
+        position is the one after theirs: a simplex of the cone is one of
+        the domain end, or one of those with the apex appended."""
+        nk = self.domain.chain_complex().ranks[0]
+        n = self.complex.chain_complex().ranks[0]
+        ends = self.domain._positions()
+        apex = (nk,)
+        degrees = [[*ends[0], apex]] if ends else [[apex]]
+        for k in range(1, len(ends) + 1):
+            tops = [s + apex for s in ends[k - 1]]
+            degrees.append(sorted(ends[k] + tops) if k < len(ends) else tops)
+        cone = SimplicialComplex._lazy(
+            lambda: [*self.domain._vertex_labels(), ("apex",)],
+            _chains_on_positions(degrees))
+        xi = SimplicialMap._make(self.complex, cone, None,
+                                 places=[*range(nk), *[nk] * (n - nk)])
         return cone, xi, self.domain
 
     def __repr__(self):
@@ -480,22 +583,34 @@ def mapping_cylinder(f: SimplicialMap) -> Cylinder:
 
 def _one_triangle(p):
     """The replacement of the single triangle (0, 1, 2), read off for
-    _replace_triangles: the blocks (see _blocks) of the stage and of the
-    cone, the label suffixes of the stage's six 'c' vertices, which name
-    the vertices of every copy, and per degree an itemgetter that picks
-    each bonding column of the stage's block among the cone's block of
+    _replace_triangles: the blocks of the stage and of the cone, the
+    label suffixes of the stage's six 'c' vertices, which name the
+    vertices of every copy, and per degree an itemgetter that picks each
+    bonding column of the stage's block among the cone's block of
     one-entry columns followed by the empty column.  Every copy in a
     real stage is laid out as this one; only its chain columns are read.
 
-    Its vertices are ints that sort as a copy's labels do: the six 'c'
-    vertices, one per simplex of the covered circle on 0, 1, 2, then the
-    2p - 1 'e' vertices of the edges (0, 1), (0, 2), (1, 2), then the
-    three 'o' corners.  Round the 6p-gon, the 3p vertices and 3p edges
-    of the covering circle alternate, vertex i lying over i mod 3.  The
-    stage has 6p triangles over the 6p-gon's edges, each to the 'c'
-    vertex under its covering edge, and 6p joining each covering vertex
-    to its image and to the image's two edges.  The cone joins the
-    6p-gon to an apex that sorts first, as ('a', 0, 1, 2) does."""
+    A complex's block, per degree, is the number of its simplices that
+    start at the copy's own vertices (the six 'c' vertices, or the cone's
+    apex), which sort first, and the boundary column of each as an
+    itemgetter of its entries in the list of the rows of the degree
+    below, each with the sign 1, followed by the same rows with the sign
+    -1.
+
+    The stage's vertices are ints that sort as a copy's labels do: the
+    six 'c' vertices, one per simplex of the covered circle on 0, 1, 2,
+    then the 2p - 1 'e' vertices of the edges (0, 1), (0, 2), (1, 2),
+    then the three 'o' corners.  Round the 6p-gon, the 3p vertices and
+    3p edges of the covering circle alternate, vertex i lying over
+    i mod 3.  The stage has 6p triangles over the 6p-gon's edges, each
+    to the 'c' vertex under its covering edge, and 6p joining each
+    covering vertex to its image and to the image's two edges; its
+    edges are their faces, those from a 'c' vertex first, then the
+    6p-gon's.  The cone joins the 6p-gon to an apex that sorts first, as
+    ('a', 0, 1, 2) does: its vertices are the apex and the 6p-gon's, in
+    order, its edges the 6p from the apex and then the 6p-gon's, and its
+    triangles one per edge of the 6p-gon.  So every row is read off
+    the sorted int tuples of the stage, and no complex is built."""
     suffixes = [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
     c = {s: v for v, s in enumerate(suffixes)}
     m = 2 * p - 1
@@ -507,42 +622,33 @@ def _one_triangle(p):
         a, b = i % 3, (i + 1) % 3
         v, e, w = ring[2 * i:2 * i + 3]
         edge = c[(min(a, b), max(a, b))]
-        triangles += [(edge, v, e), (edge, e, w)]
-        triangles += [(c[(a,)], c[(min(a, x), max(a, x))], v)
+        triangles += [(edge, *sorted((v, e))), (edge, *sorted((e, w)))]
+        triangles += [(*sorted((c[(a,)], c[(min(a, x), max(a, x))])), v)
                       for x in range(3) if x != a]
-    stage = SimplicialComplex(triangles)
-    apex = 0
-    cone = SimplicialComplex([(apex, x, y) for x, y in zip(ring, ring[1:])])
-    blocks = (_blocks(stage, 6), _blocks(cone, 1))
+    triangles.sort()
+    edges = sorted({f for a, b, d in triangles
+                    for f in ((a, b), (a, d), (b, d))})
+    row = dict(zip(edges, count()))
+    own = 12 * p + 6                    # the edges from a 'c' vertex
+    n = 6 * p                           # the 6p-gon's vertices and edges
+    blocks = ([(6, []),
+               (own, [itemgetter(o + 3 + u, w) for u, w in edges[:own]]),
+               (len(triangles), [itemgetter(row[a, b], len(edges) + row[a, d],
+                                            row[b, d])
+                                 for a, b, d in triangles])],
+              # The cone's vertex 1 + j is the stage's vertex 6 + j; its
+              # edge (0, j) is row j - 1, the 6p-gon's j-th edge row n + j.
+              [(1, []),
+               (n, [itemgetter(n + 1, j) for j in range(1, n + 1)]),
+               (n, [itemgetter(x - 6, 2 * n + y - 6, n + j)
+                    for j, (x, y) in enumerate(edges[own:])])])
     # A block simplex goes to the apex and the rest of it, or collapses
     # when it has a second 'c' vertex.
-    picks = []
-    for k, ((bs, _), (bc, _)) in enumerate(zip(*blocks)):
-        row = {s: r for r, s in enumerate(cone.simplices(k)[:bc])}
-        picks.append(itemgetter(*[bc if len(s) > 1 and s[1] < 6
-                                  else row[(apex,) + s[1:]]
-                                  for s in stage.simplices(k)[:bs]]))
+    picks = [itemgetter(*[0] * 6),
+             itemgetter(*[n if w < 6 else w - 6 for _, w in edges[:own]]),
+             itemgetter(*[n if b < 6 else row[b, d] - own
+                          for _, b, d in triangles])]
     return blocks, suffixes, picks
-
-
-def _blocks(x, head):
-    """Per degree of a one-triangle complex x whose first head vertices
-    are the copy's own: the number of simplices starting at one of them
-    (they sort first), and the boundary column of each such simplex as
-    an itemgetter of its entries in the list of x's rows of the degree
-    below, each with the sign 1, followed by the same rows with the sign
-    -1.  The chain columns are all a copy needs: its simplices are read
-    off them (see SimplicialComplex._by_dim)."""
-    own = set(x.vertices()[:head])
-    cols = x.chain_complex()._cols
-    out = []
-    for k in range(x.dim + 1):
-        size = sum(s[0] in own for s in x.simplices(k))
-        below = len(x.simplices(k - 1))
-        out.append((size,
-                    [itemgetter(*[r if v == 1 else below + r for r, v in col])
-                     for col in cols[k][:size]] if k else []))
-    return out
 
 
 def _replace_triangles(l: SimplicialComplex, p, template):
@@ -760,11 +866,8 @@ def induced(f: SimplicialMap, degree, coeff=Z_GROUP, relative=None,
 def complex_to_text(x: SimplicialComplex):
     """One simplex per line, vertices as indices into the sorted
     vertex list."""
-    order = {v: i for i, v in enumerate(x.vertices())}
-    lines = []
-    for s in x.all_simplices():
-        lines.append(" ".join(str(order[v]) for v in s))
-    return "\n".join(lines) + "\n"
+    return "\n".join(" ".join(map(str, s))
+                     for ss in x._positions() for s in ss) + "\n"
 
 
 def complex_from_text(text):
@@ -781,11 +884,7 @@ def complex_from_text(text):
 
 def map_to_text(f: SimplicialMap):
     """One vertex assignment per line, as 'i -> j' in index form."""
-    src = {v: i for i, v in enumerate(f.source.vertices())}
-    tgt = {v: i for i, v in enumerate(f.target.vertices())}
-    lines = []
-    for v in f.source.vertices():
-        lines.append(f"{src[v]} -> {tgt[f.vertex_map[v]]}")
+    lines = [f"{i} -> {j}" for i, j in enumerate(f._positions())]
     return "\n".join(lines) + "\n"
 
 

@@ -20,18 +20,30 @@ Families:
         `table`; small `verify` and `check-laws` runs.  Each record is
         the argument list, the exit code, stdout and stderr of
         `cli.main`.
+  cylinders
+        mapping cylinders of the circle coverings of degree 2..53 and
+        of 50 seeded random maps (half of them on labels drawn from a
+        wide range): the text of the complex and of both ends, the
+        indices of the domain end, the homology and cohomology of the
+        pair over Z, Q, Z/2, Z/q and Z(q^inf), and the collapse map on
+        the pair over Z/q in every degree, q a prime dividing the degree
+        (seeded for random maps); then `verify mp-pair` for p = 2..53
+        over Z, Q and Z/p, as text and --json, records as in cli.  It
+        takes ~5 s.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
 import sys
 
-from bockstein import cli
+from bockstein import cli, simplicial
+from bockstein.groups import Q, Z, Zmod, ZpInf
 from bockstein.oracle import (
     LAW_NAMES,
     Universe,
@@ -233,9 +245,66 @@ def cli_records(seed):
     return [_run(argv) for argv in cli_runs(seed)]
 
 
+# -- cylinders ----------------------------------------------------------------
+
+
+def _random_map(rng, wide):
+    """A simplicial map of small random complexes, on labels 0..10 or on
+    11 labels drawn from a wide range."""
+    names = (rng.sample(range(-10 ** 6, 10 ** 6), 11) if wide
+             else list(range(11)))
+    target = simplicial.SimplicialComplex(
+        rng.sample(names[6:], rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4)))
+    vmap = {v: rng.choice(target.vertices()) for v in names[:6]}
+    simplices = [s for k in (1, 2, 3)
+                 for s in itertools.combinations(names[:6], k)
+                 if target.has({vmap[v] for v in s})]
+    source = simplicial.SimplicialComplex(
+        rng.sample(simplices, rng.randint(1, 6)))
+    return simplicial.SimplicialMap(
+        source, target, {v: vmap[v] for v in source.vertices()})
+
+
+def _cylinder_record(name, f, q):
+    cyl = simplicial.mapping_cylinder(f)
+    x, a = cyl.complex, cyl.domain
+    groups = {}
+    for coeff in (Z, Q, Zmod(2), Zmod(q), ZpInf(q)):
+        groups[coeff.render()] = [
+            simplicial.homology_of(x, coeff, relative_to=a).render(),
+            simplicial.cohomology_of(x, coeff, relative_to=a).render()]
+    cone, xi, base = cyl.collapse()
+    collapse = [simplicial.induced(xi, k, Zmod(q), relative=(a, base),
+                                   cohomology=True).render()
+                for k in range(x.dim + 1)]
+    return ["cylinder", name, q, simplicial.complex_to_text(x),
+            simplicial.complex_to_text(a),
+            simplicial.complex_to_text(cyl.target),
+            sorted(x.indices_of(a).items()), groups, collapse]
+
+
+def cylinder_records(seed, degrees=range(2, 54), maps=50):
+    rng = random.Random(seed)
+    out = []
+    for p in degrees:
+        q = next(d for d in range(2, p + 1) if p % d == 0)
+        out.append(_cylinder_record(f"degree {p}",
+                                    simplicial.degree_map_circle(p), q))
+    for i in range(maps):
+        out.append(_cylinder_record(f"random {i}", _random_map(rng, i % 2),
+                                    rng.choice((2, 3, 5))))
+    for p in degrees:
+        for coeff in ("Z", "Q", f"Z/{p}"):
+            argv = ["verify", "mp-pair", "--p", str(p), "--coeff", coeff]
+            out += [_run(argv), _run([argv[0], "--json", *argv[1:]])]
+    return out
+
+
 # -- driver -------------------------------------------------------------------
 
-FAMILIES = {"laws": law_records, "cli": cli_records}
+FAMILIES = {"laws": law_records, "cli": cli_records,
+            "cylinders": cylinder_records}
 
 
 def digest(records):

@@ -392,6 +392,59 @@ def replace_triangles_by_labels(l, p):
     return nxt, cone, SimplicialMap._make(nxt, cone, bonding)
 
 
+def one_triangle_by_labels(p):
+    """The one-triangle template of the library's Pontryagin stages,
+    built through the public constructor and label lookups: the
+    reference for simplicial._one_triangle, which emits the same blocks,
+    suffixes and bonding picks from the layout alone.  See that function
+    for the layout; here the stage and the cone are closed under faces
+    and sorted by SimplicialComplex(...), and each block column is read
+    off the label index."""
+    from operator import itemgetter
+
+    from bockstein.simplicial import SimplicialComplex
+
+    suffixes = [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+    c = {s: v for v, s in enumerate(suffixes)}
+    m = 2 * p - 1
+    o = 6 + 3 * m
+    e01, e02, e12 = (list(range(6 + t * m, 6 + t * m + m)) for t in range(3))
+    ring = [o] + e01 + [o + 1] + e12 + [o + 2] + e02[::-1] + [o]
+    triangles = []
+    for i in range(3 * p):
+        a, b = i % 3, (i + 1) % 3
+        v, e, w = ring[2 * i:2 * i + 3]
+        edge = c[(min(a, b), max(a, b))]
+        triangles += [(edge, v, e), (edge, e, w)]
+        triangles += [(c[(a,)], c[(min(a, x), max(a, x))], v)
+                      for x in range(3) if x != a]
+    stage = SimplicialComplex(triangles)
+    apex = 0
+    cone = SimplicialComplex([(apex, x, y) for x, y in zip(ring, ring[1:])])
+
+    def blocks(x, head):
+        own = set(x.vertices()[:head])
+        index = x._index
+        out = []
+        for k in range(x.dim + 1):
+            size = sum(s[0] in own for s in x.simplices(k))
+            below = len(x.simplices(k - 1))
+            out.append((size, [itemgetter(*[
+                index[s[:i] + s[i + 1:]][1] + (below if i % 2 else 0)
+                for i in range(len(s) - 1, -1, -1)])
+                for s in x.simplices(k)[:size]] if k else []))
+        return out
+
+    both = (blocks(stage, 6), blocks(cone, 1))
+    picks = []
+    for k, ((bs, _), (bc, _)) in enumerate(zip(*both)):
+        row = {s: r for r, s in enumerate(cone.simplices(k)[:bc])}
+        picks.append(itemgetter(*[bc if len(s) > 1 and s[1] < 6
+                                  else row[(apex,) + s[1:]]
+                                  for s in stage.simplices(k)[:bs]]))
+    return both, suffixes, picks
+
+
 # -- Edwards-Walsh skeleta by labels -----------------------------------------
 
 def ew_skeleton_by_labels(k_complex, group, n):

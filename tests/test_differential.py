@@ -34,3 +34,22 @@ def test_cli_family_repeats_across_hash_seeds():
     family, count, sha = outs[0].split()
     assert (family, len(sha)) == ("cli", 64)
     assert int(count) == len(differential.cli_runs(3))
+
+
+def test_cylinder_family_repeats_across_hash_seeds():
+    # A small seed: three degree maps and six random maps, half of them
+    # on wide labels, then their `verify mp-pair` runs.
+    code = ("import differential; print(*differential.digest("
+            "differential.cylinder_records(3, (2, 3, 4), 6))[:2])")
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(HERE.parent / "src"), str(HERE)]),
+            "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    count, sha = outs[0].split()
+    assert (int(count), len(sha)) == (3 + 6 + 3 * 3 * 2, 64)

@@ -9,7 +9,7 @@ from bockstein.chains import GroupReport
 from bockstein.chains import ChainComplex, ChainMap, quotient_complex
 from bockstein.groups import Q, Z, Zmod, ZpInf
 from bockstein.simplicial import (
-    SimplicialComplex, SimplicialMap, boundary_simplex, circle,
+    SimplicialComplex, SimplicialMap, _one_triangle, boundary_simplex, circle,
     cohomology_of, complex_from_text, complex_to_text, degree_map_circle,
     ew_skeleton, full_simplex, homology_of, induced, map_from_text,
     map_to_text, mapping_cylinder, pontryagin_stage,
@@ -17,8 +17,8 @@ from bockstein.simplicial import (
 from bockstein.chains import induced_map as chain_induced
 
 from oracles import (
-    ew_skeleton_by_labels, mp_pair_integral, pontryagin_integral,
-    replace_triangles_by_labels,
+    ew_skeleton_by_labels, mp_pair_integral, one_triangle_by_labels,
+    pontryagin_integral, replace_triangles_by_labels,
 )
 
 
@@ -69,6 +69,15 @@ class TestBuilders:
         assert co[2] == GroupReport(1, (), Z)
         with pytest.raises(ValueError, match="not a simplex of this complex"):
             sphere.indices_of(disk)
+
+    def test_a_missing_simplex_is_named_by_its_label(self):
+        x = SimplicialComplex([("a", "b"), ("b", "c")])
+        for sub, missing in ((SimplicialComplex([("a", "c")]), "('a', 'c')"),
+                             (SimplicialComplex([("a", "z")]), "('z',)")):
+            with pytest.raises(ValueError) as err:
+                x.indices_of(sub)
+            assert str(err.value) == ("not a simplex of this complex: "
+                                      + missing)
 
 
 class TestMaps:
@@ -219,6 +228,48 @@ class TestMappingCylinder:
         for f in maps:
             assert (complex_to_text(mapping_cylinder(f).complex)
                     == complex_to_text(self.order_complex_by_pairs(f)))
+
+    def test_matches_pairwise_construction_on_wide_labels(self):
+        # Labels drawn from a wide range, on both sides, and targets of up
+        # to 14 vertices: positions must follow label order, and a set of
+        # positions below 8 iterates in sorted order, so it cannot show a
+        # missing sort.
+        rng = random.Random(20261020)
+        for _ in range(60):
+            names = rng.sample(range(-10 ** 6, 10 ** 6), 20)
+            target = SimplicialComplex(
+                rng.sample(names[6:], rng.randint(1, 3))
+                for _ in range(rng.randint(3, 8)))
+            vmap = {v: rng.choice(target.vertices()) for v in names[:6]}
+            simplices = [s for k in (1, 2, 3)
+                         for s in combinations(names[:6], k)
+                         if target.has({vmap[v] for v in s})]
+            source = SimplicialComplex(
+                rng.sample(simplices, rng.randint(1, 6)))
+            f = SimplicialMap(source, target,
+                              {v: vmap[v] for v in source.vertices()})
+            cyl = mapping_cylinder(f)
+            want = self.order_complex_by_pairs(f)
+            assert complex_to_text(cyl.complex) == complex_to_text(want)
+            assert cyl.complex == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_relative_route_makes_no_labels(self, p):
+        # The relative (co)homology of (M_p, dM_p) and the collapse map on
+        # the pair, as `verify mp-pair` reads them, come from positions
+        # and chain data alone: no simplex or label index is made.
+        cyl = mapping_cylinder(degree_map_circle(p))
+        rep = homology_of(cyl.complex, relative_to=cyl.domain)
+        assert pairs(rep, range(3)) == mp_pair_integral(p)
+        assert cohomology_of(cyl.complex, Zmod(p),
+                             relative_to=cyl.domain)[2].orders == (p,)
+        cone, xi, base = cyl.collapse()
+        assert induced(xi, 2, Zmod(p), relative=(cyl.domain, base),
+                       cohomology=True).iso
+        assert base is cyl.domain
+        for x in (cyl.complex, cyl.domain, cone, base):
+            assert x._degrees is None and x._lookup is None
+        assert xi._vertex_map is None
 
     def test_retraction_section(self):
         cyl = mapping_cylinder(degree_map_circle(2))
@@ -425,6 +476,13 @@ class TestPontryaginStages:
                                 x.simplices(2)))) for x in lazy] == f_vectors
         assert [x.f_vector() for x in lazy] == f_vectors
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 829])
+    def test_template_matches_the_label_builder(self, p):
+        # Blocks, suffixes and bonding picks emitted from the layout equal
+        # those read off the label-built one-triangle stage and cone
+        # (itemgetters compare by repr, which lists their items).
+        assert repr(_one_triangle(p)) == repr(one_triangle_by_labels(p))
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_labels_are_flat(self, p):
         # No label of L_3 or of a cone nests a label of the stage before.
@@ -598,6 +656,35 @@ class TestTrustedPath:
         f = SimplicialMap(x, full_simplex(m),
                           {v: rng.randint(0, m) for v in x.vertices()})
         assert_trusted_cylinder(mapping_cylinder(f))
+
+    @given(wide_faces, st.integers(min_value=0, max_value=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_cylinders_of_wide_maps(self, draw, m, rng):
+        _, faces, _ = draw
+        x = SimplicialComplex(faces)
+        names = rng.sample(range(-10 ** 6, 10 ** 6), m + 1)
+        y = SimplicialComplex([names])
+        f = SimplicialMap(x, y, {v: rng.choice(names) for v in x.vertices()})
+        cyl = mapping_cylinder(f)
+        assert_trusted_cylinder(cyl)
+        assert_trusted_collapse(cyl)
+
+    def test_trusted_factories(self):
+        # The factories install closed, sorted simplex lists without the
+        # public closure; the public constructor must build the same.
+        for n in range(6):
+            assert_public_rebuild(full_simplex(n))
+        for n in range(1, 6):
+            assert_public_rebuild(boundary_simplex(n))
+        for k in range(3, 12):
+            assert_public_rebuild(circle(k))
+        for p in (2, 3, 5):
+            f = degree_map_circle(p, 4)
+            assert_public_rebuild(f.source)
+            assert_public_rebuild(f.target)
+            assert f.vertex_map == {i: i % 4 for i in range(4 * p)}
+            assert_trusted_map(f.chain_map())
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
     def test_trusted_degree_maps(self, p):
