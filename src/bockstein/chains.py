@@ -1136,9 +1136,9 @@ def moore_space(m, n=1) -> ChainComplex:
     >>> homology(moore_space(2, 1))[1].render()
     'Z/2'
     """
-    if not (isinstance(m, int) and m >= 2):
+    if not (isinstance(m, int) and not isinstance(m, bool) and m >= 2):
         raise ValueError(f"Moore space needs m >= 2: {m!r}")
-    if not (isinstance(n, int) and n >= 1):
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"Moore space needs n >= 1: {n!r}")
     ranks = [0] * (n + 2)
     ranks[0] = 1

@@ -13,22 +13,22 @@ from; a Pontryagin stage names each new vertex by a tag and the
 positions of the previous stage's vertices, so its labels stay flat
 tuples of a tag and ints at every stage.
 
-Chain data, relative index sets and chain maps are built on vertex
-positions: a simplex is also the tuple of its vertices' positions in
-the sorted vertex list, which sorts as its labels do.  A complex looks
-its simplices up by label only through an index built on first use,
-and only has needs it.  Mapping cylinders number the face poset's
+Every complex is one record, however it is made: its sorted vertex
+labels and its chain complex on vertex positions, a simplex being also
+the tuple of its vertices' positions in the sorted vertex list, which
+sorts as its labels do.  SimplicialComplex(...) closes its input and
+keeps only that record.  Mapping cylinders number the face poset's
 elements once and enumerate its chains as tuples of those positions;
 each Pontryagin stage, and the cone its bonding map lands in, lists in
 every degree one block per triangle of the stage before, each laid out
 as the replacement of a single triangle, then the shared subdivided
 1-skeleton, and is emitted in basis order from that one-triangle
-template.  So the chain data is the one record of cylinders, cones and
-stages: their simplices are read off the boundary columns, and the
-bondings' vertex maps off the degree-0 columns, only when a caller
-first reads them.  Homology, relative homology, f-vectors and induced
-maps read no label.  Edwards-Walsh skeleta, too, take their columns
-from the complex's chain complex.
+template; a skeleton cuts the chain complex.  A map is one record too:
+the position of each source vertex's image among the target's
+vertices, which a bonding reads off its degree-0 columns.  Simplices as
+label tuples, the label index of has, and vertex maps are views, made
+only when a caller first reads them, so homology, relative homology,
+f-vectors, induced maps and Edwards-Walsh skeleta read no label.
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ __all__ = [
     "mapping_cylinder",
     "pontryagin_stage",
 ]
-
-
-def _sorted_by_degree(closed):
-    by_dim = {}
-    for s in closed:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    return {k: tuple(sorted(v)) for k, v in by_dim.items()}
 
 
 def _chains_on_positions(degrees):
@@ -103,24 +96,38 @@ def _perm_sign(values):
     return sign
 
 
+def _on_positions(closed):
+    """The record of closed, a collection of sorted label tuples closed
+    under faces: its sorted vertex labels and its chain complex on the
+    tuples of vertex positions, every degree sorted as ints."""
+    labels = sorted([s[0] for s in closed if len(s) == 1])
+    where = dict(zip(labels, count()))
+    degrees = [[] for _ in range(max(map(len, closed), default=0))]
+    for s in closed:
+        degrees[len(s) - 1].append(tuple([where[v] for v in s]))
+    for ss in degrees:
+        ss.sort()
+    return tuple(labels), _chains_on_positions(degrees)
+
+
 class SimplicialComplex:
     """An abstract simplicial complex, stored closed under faces.
 
     Simplices are sorted tuples of vertex labels.  The constructor
     accepts any iterable of simplices (maximal ones suffice) and closes
-    it downward.  A complex the library builds with its chain complex
-    may read its simplices off that chain complex on first use (see
-    _lazy); dim and f_vector then read the chain ranks, and every read
-    of a simplex, has, == and hash make them.  The empty complex has
-    f_vector () and dim -1, however it is made; its chain complex, like
-    every chain complex, has a degree 0, of rank 0.
+    it downward.  However it is made, a complex is one record: its
+    sorted vertex labels and its chain complex on vertex positions (see
+    _lazy); dim and f_vector read the chain ranks.  The simplices as
+    label tuples, the label index of has, and == and hash are views made
+    on first use.  The empty complex has f_vector () and dim -1; its
+    chain complex, like every chain complex, has a degree 0, of rank 0.
 
     >>> s = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
     >>> s.f_vector()
     (3, 3)
     """
 
-    __slots__ = ("_degrees", "_build", "_lookup", "_chain")
+    __slots__ = ("_degrees", "_labels", "_lookup", "_chain")
 
     def __init__(self, simplices):
         seen = set()
@@ -132,60 +139,51 @@ class SimplicialComplex:
                 raise ValueError("the empty simplex is not allowed")
             for k in range(1, len(t) + 1):
                 seen.update(combinations(t, k))
-        self._install(_sorted_by_degree(seen))
+        self._install(*_on_positions(seen))
 
     @classmethod
     def _make(cls, closed):
         """Trusted constructor: closed is a collection of distinct,
         sorted, nondegenerate simplices, closed under faces.  Nothing is
         checked or closed."""
-        x = cls.__new__(cls)
-        x._install(_sorted_by_degree(closed))
-        return x
+        return cls._lazy(*_on_positions(closed))
 
     @classmethod
     def _lazy(cls, vertices, chain):
-        """Trusted constructor: chain is the chain complex that
-        chain_complex would build, with every degree in sorted order, and
-        vertices() returns the sorted vertex labels.  The simplices are
-        read off chain on the first read of one (see _by_dim); nothing
-        is checked."""
+        """Trusted constructor: vertices is the tuple of sorted vertex
+        labels, or a callable that makes them on first use, and chain
+        the chain complex on vertex positions, in the sorted-vertex
+        orientation with every degree in sorted order.  Nothing is
+        checked."""
         x = cls.__new__(cls)
-        x._install(None, chain, vertices)
+        x._install(vertices, chain)
         return x
 
-    def _install(self, by_dim, chain=None, build=None):
-        self._degrees = by_dim
-        self._build = build
-        self._lookup = None
+    def _install(self, vertices, chain):
+        self._labels = vertices
         self._chain = chain
+        self._degrees = None
+        self._lookup = None
 
     @property
     def _by_dim(self):
-        """Each degree's tuple of simplices.  A complex made by _lazy
-        makes them on first use from its vertex labels and the position
-        tuples that _positions reads off its boundary columns."""
+        """Each degree's tuple of simplices, made on first use from the
+        vertex labels and the position tuples that _positions reads off
+        the boundary columns."""
         if self._degrees is None:
-            labels = self._build()
+            labels = self.vertices()
             self._degrees = {k: tuple([tuple([labels[v] for v in s])
                                        for s in ss])
                              for k, ss in enumerate(self._positions())}
-            self._build = None
         return self._degrees
 
     def _positions(self):
         """Per degree, the simplices in the order of simplices(k), each
         as the tuple of its vertices' positions in the sorted vertex
-        list.  Positions sort as the labels do, so every tuple and every
-        degree is sorted.  A complex made by _lazy reads them off its
-        boundary columns and makes no label: the rows of a column ascend,
-        so its first two faces drop the last and the second-to-last
-        vertex, and the simplex is the first with the last vertex of the
-        second."""
-        if self._degrees is not None:
-            where = {v: n for n, v in enumerate(self.vertices())}
-            return [[tuple([where[v] for v in s]) for s in self._degrees[k]]
-                    for k in range(len(self._degrees))]
+        list, read off the boundary columns without a label: the rows of
+        a column ascend, so its first two faces drop the last and the
+        second-to-last vertex, and the simplex is the first with the last
+        vertex of the second."""
         cols = self._chain._cols
         ranks = self.f_vector()
         faces = [(v,) for v in range(ranks[0])] if ranks else []
@@ -203,11 +201,6 @@ class SimplicialComplex:
         for ss in self._positions():
             index.update(zip(ss, count()))
         return index
-
-    def _vertex_labels(self):
-        """The sorted vertex labels: all a complex made by _lazy makes
-        of its labels here."""
-        return self._build() if self._degrees is None else self.vertices()
 
     @property
     def _index(self):
@@ -230,28 +223,31 @@ class SimplicialComplex:
             yield from self._by_dim[k]
 
     def vertices(self):
-        return tuple(v for (v,) in self.simplices(0))
+        """The sorted vertex labels, made once and kept."""
+        if callable(self._labels):
+            self._labels = tuple(self._labels())
+        return self._labels
 
     def has(self, simplex):
         return tuple(sorted(simplex)) in self._index
 
     def f_vector(self):
-        if self._degrees is None:
-            # The simplices are not built yet; the chain ranks count them,
-            # but for the empty complex's degree 0 of rank 0.
-            ranks = self._chain.ranks
-            return ranks if ranks[0] else ()
-        # Closed under faces, so the degrees run 0 .. dim.
-        return tuple(len(self._degrees[k]) for k in range(len(self._degrees)))
+        # The chain ranks count the simplices, but for the empty
+        # complex's degree 0 of rank 0.
+        ranks = self._chain.ranks
+        return ranks if ranks[0] else ()
 
     def euler(self):
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
 
     def skeleton(self, n):
-        keep = []
-        for k in range(min(n, self.dim) + 1):
-            keep.extend(self.simplices(k))
-        return SimplicialComplex._make(keep)
+        """The n-skeleton: the chain complex cut after degree n."""
+        if n < 0:
+            return SimplicialComplex([])
+        c = self._chain
+        cut = {k: cols for k, cols in c._cols.items() if k <= n}
+        return SimplicialComplex._lazy(
+            self.vertices, chains.ChainComplex._make(c.ranks[:n + 1], cut))
 
     def full_subcomplex(self, keep_vertex):
         """The induced subcomplex on vertices passing the predicate."""
@@ -261,10 +257,8 @@ class SimplicialComplex:
 
     def chain_complex(self):
         """Simplicial chains with the sorted-vertex orientation.  The
-        degree-k basis order matches simplices(k); the result is cached
-        so maps over the same complex share the object."""
-        if self._chain is None:
-            self._chain = _chains_on_positions(self._positions())
+        degree-k basis order matches simplices(k); maps over the same
+        complex share the object."""
         return self._chain
 
     def indices_of(self, sub):
@@ -273,8 +267,8 @@ class SimplicialComplex:
         each simplex of sub, as a tuple of positions, is looked up among
         this complex's.  Positions sort as the labels do, so the indices
         come out ascending."""
-        where = dict(zip(self._vertex_labels(), count()))
-        labels = sub._vertex_labels()
+        where = dict(zip(self.vertices(), count()))
+        labels = sub.vertices()
         place = list(map(where.get, labels))
         # Sub's vertices are often this complex's first ones, in order.
         identity = place == list(range(len(place)))
@@ -304,44 +298,47 @@ class SimplicialComplex:
 
 class SimplicialMap:
     """A simplicial map given on vertices; images of simplices are
-    checked to be simplices of the target (collapses are allowed)."""
+    checked to be simplices of the target (collapses are allowed).  It
+    is stored as the position of each vertex's image (see _make)."""
 
     __slots__ = ("source", "target", "_vertex_map", "_places", "_chain")
 
     def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
-        self._vertex_map = dict(vertex_map)
-        self._places = None
+        self._vertex_map = vertex_map = dict(vertex_map)
         self._chain = None
-        for v in source.vertices():
-            if v not in self.vertex_map:
+        sv = source.vertices()
+        for v in sv:
+            if v not in vertex_map:
                 raise ValueError(f"vertex {v!r} has no image")
-        src_vertices = set(source.vertices())
-        tgt_vertices = set(target.vertices())
-        for v, w in self.vertex_map.items():
+        src_vertices = set(sv)
+        where = dict(zip(target.vertices(), count()))
+        for v, w in vertex_map.items():
             if v not in src_vertices:
                 raise ValueError(f"vertex {v!r} is not in the source")
-            if w not in tgt_vertices:
+            if w not in where:
                 raise ValueError(f"image vertex {w!r} is not in the target")
-        for s in source.all_simplices():
-            if not target.has(set(self.vertex_map[v] for v in s)):
-                raise ValueError(
-                    f"image of {s!r} is not a simplex of the target")
+        self._places = [where[vertex_map[v]] for v in sv]
+        # A collapsed simplex's image is that of a face of lower degree
+        # that does not collapse, which chain_map checks first.
+        try:
+            self.chain_map()
+        except KeyError as missing:
+            raise ValueError(f"image of {missing.args[0]!r} is not a "
+                             "simplex of the target") from None
 
     @classmethod
-    def _make(cls, source, target, vertex_map, chain=None, places=None):
-        """Trusted constructor: the map is given by one of vertex_map, a
-        dict defined on every source vertex; places, the position among
-        the target's vertices of each source vertex's image, in source
-        vertex order; or chain, the chain map that chain_map would build.
-        It carries simplices to simplices.  What is not given is made on
-        first use (see vertex_map, _positions, chain_map).  Nothing is
-        checked."""
+    def _make(cls, source, target, places, chain=None):
+        """Trusted constructor: places lists, in source vertex order, the
+        position among the target's vertices of each source vertex's
+        image, and chain, if given, is the chain map that chain_map would
+        build; places may be None when chain is given (see _positions).
+        It carries simplices to simplices.  Nothing is checked."""
         f = cls.__new__(cls)
         f.source = source
         f.target = target
-        f._vertex_map = vertex_map
+        f._vertex_map = None
         f._places = places
         f._chain = chain
         return f
@@ -349,10 +346,10 @@ class SimplicialMap:
     @property
     def vertex_map(self):
         """The image of each source vertex, made on first use off the
-        vertex positions of a map made without it."""
+        vertex positions."""
         if self._vertex_map is None:
-            tv = self.target._vertex_labels()
-            self._vertex_map = dict(zip(self.source._vertex_labels(),
+            tv = self.target.vertices()
+            self._vertex_map = dict(zip(self.source.vertices(),
                                         [tv[w] for w in self._positions()]))
         return self._vertex_map
 
@@ -362,14 +359,8 @@ class SimplicialMap:
         them off the degree-0 columns: the column of the j-th source
         vertex holds one row, that position."""
         if self._places is None:
-            if self._vertex_map is None:
-                self._places = [col[0][0]
-                                for col in self._chain._cols.get(0, ())]
-            else:
-                where = {w: n for n, w in
-                         enumerate(self.target._vertex_labels())}
-                self._places = [where[self._vertex_map[v]]
-                                for v in self.source._vertex_labels()]
+            self._places = [col[0][0]
+                            for col in self._chain._cols.get(0, ())]
         return self._places
 
     def image(self, simplex):
@@ -378,7 +369,8 @@ class SimplicialMap:
     def chain_map(self):
         """The induced map of simplicial chain complexes, cached, built
         on vertex positions.  Simplices collapsed by the vertex map
-        contribute zero."""
+        contribute zero; KeyError names the first source simplex whose
+        image is not a simplex of the target."""
         if self._chain is not None:
             return self._chain
         index = self.target._position_index()
@@ -398,8 +390,8 @@ class SimplicialMap:
                     # itself once sorted.
                     cols.append(())
                 else:
-                    tv = self.target._vertex_labels()
-                    raise KeyError(tuple([tv[w] for w in t]))
+                    sv = self.source.vertices()
+                    raise KeyError(tuple([sv[v] for v in s]))
             columns[k] = tuple(cols)
         self._chain = chains.ChainMap._make(self.source.chain_complex(),
                                             self.target.chain_complex(),
@@ -414,7 +406,7 @@ class SimplicialMap:
 
 def full_simplex(n):
     """The full n-simplex on vertices 0..n, top face included."""
-    if not (isinstance(n, int) and n >= 0):
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
         raise ValueError(f"need n >= 0: {n!r}")
     return SimplicialComplex._make([s for k in range(1, n + 2)
                                     for s in combinations(range(n + 1), k)])
@@ -422,7 +414,7 @@ def full_simplex(n):
 
 def boundary_simplex(n):
     """The boundary of the n-simplex, a combinatorial (n-1)-sphere."""
-    if not (isinstance(n, int) and n >= 1):
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"need n >= 1: {n!r}")
     return SimplicialComplex._make([s for k in range(1, n + 1)
                                     for s in combinations(range(n + 1), k)])
@@ -448,8 +440,8 @@ def degree_map_circle(p, k=3):
     if not (isinstance(k, int) and k >= 3):
         raise ValueError(f"base circle needs k >= 3: {k!r}")
     # The vertices of both circles are their own positions.
-    return SimplicialMap._make(circle(p * k), circle(k), None,
-                               places=[i % k for i in range(p * k)])
+    return SimplicialMap._make(circle(p * k), circle(k),
+                               [i % k for i in range(p * k)])
 
 
 # -- mapping cylinders -------------------------------------------------------
@@ -524,23 +516,23 @@ class Cylinder:
                               for ss in degrees) if d]
 
         def labels():
-            sv = f.source._vertex_labels()
-            tv = f.target._vertex_labels()
+            sv = f.source.vertices()
+            tv = f.target.vertices()
             return ([("K", tuple([sv[v] for v in s])) for s in ks]
                     + [("L", tuple([tv[v] for v in t])) for t in ls])
 
-        self.complex = SimplicialComplex._lazy(
+        whole = self.complex = SimplicialComplex._lazy(
             labels, _chains_on_positions(degrees))
         self.domain = SimplicialComplex._lazy(
-            lambda: labels()[:nk], _chains_on_positions(domain))
+            lambda: whole.vertices()[:nk], _chains_on_positions(domain))
         self.target = SimplicialComplex._lazy(
-            lambda: labels()[nk:], _chains_on_positions(target))
+            lambda: whole.vertices()[nk:], _chains_on_positions(target))
         self.domain_inclusion = SimplicialMap._make(
-            self.domain, self.complex, None, places=range(nk))
+            self.domain, self.complex, range(nk))
         self.target_inclusion = SimplicialMap._make(
-            self.target, self.complex, None, places=range(nk, n))
-        self.retraction = SimplicialMap._make(
-            self.complex, self.target, None, places=retract)
+            self.target, self.complex, range(nk, n))
+        self.retraction = SimplicialMap._make(self.complex, self.target,
+                                              retract)
 
     def collapse(self):
         """Collapse the target end to a point: returns (cone, xi, base)
@@ -559,10 +551,10 @@ class Cylinder:
             tops = [s + apex for s in ends[k - 1]]
             degrees.append(sorted(ends[k] + tops) if k < len(ends) else tops)
         cone = SimplicialComplex._lazy(
-            lambda: [*self.domain._vertex_labels(), ("apex",)],
+            lambda: [*self.domain.vertices(), ("apex",)],
             _chains_on_positions(degrees))
-        xi = SimplicialMap._make(self.complex, cone, None,
-                                 places=[*range(nk), *[nk] * (n - nk)])
+        xi = SimplicialMap._make(self.complex, cone,
+                                 [*range(nk), *[nk] * (n - nk)])
         return cone, xi, self.domain
 
     def __repr__(self):
@@ -789,7 +781,7 @@ def pontryagin_stage(p, k):
     _replace_triangles).
     """
     check_prime(p)
-    if k not in (1, 2):
+    if not (isinstance(k, int) and not isinstance(k, bool) and k in (1, 2)):
         raise ValueError(f"stage count must be 1 or 2: {k!r}")
     template = _one_triangle(p)
     stages = [boundary_simplex(3)]
@@ -810,15 +802,14 @@ def ew_skeleton(k_complex: SimplicialComplex, group, n):
     (n+1)-cell is glued onto each (n+1)-simplex with attaching degree
     p, killing the simplex boundary only modulo p.  Returns the chain
     complex together with the inclusion of the n-skeleton's chains.
-    Both are read off k_complex.chain_complex(): its degrees up to n
-    are the skeleton's chains, and its boundary columns of degree n + 1,
-    times p, attach the new cells.  No label is read.
+    The skeleton's chains are those of k_complex.skeleton(n), and the
+    boundary columns of degree n + 1 of k_complex.chain_complex(), times
+    p, attach the new cells.  No label is read.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValueError(f"Edwards-Walsh skeleta need n >= 2: {n!r}")
     c = k_complex.chain_complex()
-    base = chains.ChainComplex._make(
-        c.ranks[:n + 1], {k: cols for k, cols in c._cols.items() if k <= n})
+    base = k_complex.skeleton(n).chain_complex()
     ident = {k: tuple(((j, 1),) for j in range(base.rank(k)))
              for k in range(base.top + 1)}
     if group is Z_GROUP:

@@ -1,4 +1,5 @@
-"""Record hashes of the law checker and of the command line.
+"""Record hashes of the law checker, the command line and the finite
+complexes.
 
     PYTHONPATH=<tree>/src python tests/differential.py --seed 1 [--dump DIR]
 
@@ -30,6 +31,18 @@ Families:
         (seeded for random maps); then `verify mp-pair` for p = 2..53
         over Z, Q and Z/p, as text and --json, records as in cli.  It
         takes ~5 s.
+  complexes
+        80 seeded complexes (every other one on labels drawn from a wide
+        range): the f-vector, the vertices, every degree's simplices,
+        `has` on faces and on non-faces, the text of every skeleton and
+        of a full subcomplex, the `complex_to_text` round trip, the
+        chain complex, and the chain data of the Edwards-Walsh skeleta
+        over Z, Z/2 and Z/3; then 120 seeded vertex maps between such
+        complexes, of the four kinds of `_map_between_complexes`: the
+        outcome or error text of `SimplicialMap(...)`, and of a map it
+        accepts the `map_to_text`, the chain map columns and the induced
+        maps in homology and cohomology over Z, Q and Z/2.  It takes
+        ~0.5 s.
 """
 
 import argparse
@@ -301,10 +314,103 @@ def cylinder_records(seed, degrees=range(2, 54), maps=50):
     return out
 
 
+# -- complexes ----------------------------------------------------------------
+
+
+def _random_complex(rng, wide):
+    """A complex of up to 6 faces of 1 to 5 vertices, on labels 0..8 or
+    on 9 labels drawn from a wide range."""
+    names = (rng.sample(range(-10 ** 6, 10 ** 6), 9) if wide
+             else list(range(9)))
+    return simplicial.SimplicialComplex(
+        rng.sample(names, rng.choice((1, 2, 2, 3, 3, 4, 5)))
+        for _ in range(rng.randint(1, 6)))
+
+
+def _chain_data(c):
+    return [c.ranks, sorted(c._cols.items())]
+
+
+def _complex_record(name, x, rng):
+    vertices = x.vertices()
+    faces = list(x.all_simplices())
+    probes = [rng.choice(faces) for _ in range(4)]
+    probes += [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
+               for _ in range(6)]
+    probes.append([vertices[0], 10 ** 7])      # 10 ** 7 is no vertex
+    keep = set(rng.sample(vertices, rng.randint(0, len(vertices))))
+    sub = x.full_subcomplex(keep.__contains__)
+    text = simplicial.complex_to_text(x)
+    ew = {}
+    for group in (Z, Zmod(2), Zmod(3)):
+        for n in (2, 3):
+            c, inclusion = simplicial.ew_skeleton(x, group, n)
+            ew[f"{group.render()} {n}"] = [_chain_data(c),
+                                           sorted(inclusion._cols.items())]
+    return ["complex", name, x.f_vector(), x.dim, vertices,
+            [x.simplices(k) for k in range(x.dim + 1)],
+            [[p, x.has(p)] for p in probes],
+            [[k, simplicial.complex_to_text(x.skeleton(k)),
+              x.skeleton(k).vertices()] for k in range(-1, x.dim + 2)],
+            [sorted(keep), simplicial.complex_to_text(sub), sub.vertices()],
+            [text, simplicial.complex_from_text(text) == x],
+            _chain_data(x.chain_complex()), ew]
+
+
+def _map_between_complexes(rng, wide, kind):
+    """Two random complexes and a vertex map between them: arbitrary
+    (kind 0); carrying simplices into one simplex of the target (kind 1);
+    such a map with one vertex dropped, one key outside the source or one
+    image outside the target (kind 2); or such a map into the target
+    with that simplex taken out, so that only simplices whose image is
+    all of it, collapsed or not, fail (kind 3)."""
+    source, target = _random_complex(rng, wide), _random_complex(rng, wide)
+    sv, tv = source.vertices(), target.vertices()
+    if kind == 0:
+        return source, target, {v: rng.choice(tv) for v in sv}
+    top = rng.choice(list(target.all_simplices()))
+    vmap = {v: rng.choice(top) for v in sv}
+    if kind == 2:
+        broken = rng.randrange(3)
+        if broken == 0:
+            del vmap[rng.choice(sv)]
+        else:
+            vmap[rng.choice(sv) if broken == 2 else 10 ** 7] = (
+                10 ** 7 if broken == 2 else tv[0])
+    if kind == 3 and len(top) > 1:
+        target = simplicial.SimplicialComplex(
+            s for s in target.all_simplices() if not set(top) <= set(s))
+    return source, target, vmap
+
+
+def _map_record(name, source, target, vmap):
+    f = _outcome(lambda: simplicial.SimplicialMap(source, target, vmap))
+    if isinstance(f, str):
+        return ["map", name, sorted(vmap.items(), key=repr), f]
+    induced = [[k, coeff.render(), cohomology, _outcome(
+        lambda: simplicial.induced(f, k, coeff,
+                                   cohomology=cohomology).render())]
+               for k in range(source.dim + 1) for coeff in (Z, Q, Zmod(2))
+               for cohomology in (False, True)]
+    return ["map", name, sorted(vmap.items(), key=repr), "ok",
+            simplicial.map_to_text(f), sorted(f.chain_map()._cols.items()),
+            induced]
+
+
+def complex_records(seed, complexes=80, maps=120):
+    rng = random.Random(seed)
+    out = [_complex_record(f"complex {i}", _random_complex(rng, i % 2), rng)
+           for i in range(complexes)]
+    for i in range(maps):
+        out.append(_map_record(f"map {i}", *_map_between_complexes(
+            rng, i % 2, i // 2 % 4)))
+    return out
+
+
 # -- driver -------------------------------------------------------------------
 
 FAMILIES = {"laws": law_records, "cli": cli_records,
-            "cylinders": cylinder_records}
+            "cylinders": cylinder_records, "complexes": complex_records}
 
 
 def digest(records):

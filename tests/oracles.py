@@ -322,8 +322,9 @@ def replace_triangles_by_labels(l, p):
     """One Pontryagin stage built from labels alone: the reference for
     the library's index-native builder.  Returns (next stage, cone
     retriangulation of l, bonding map), every complex collected closed
-    under faces and sorted by the generic trusted constructor, so its
-    chain complex and the bonding's chain map come from label lookups.
+    under faces and sorted by the generic trusted constructor, and the
+    bonding given by its vertex map to the public constructor, which
+    checks that it carries simplices to simplices.
 
     Every 2-simplex of l becomes a copy of the mapping cylinder of the
     p-fold circle covering, glued along the subdivided boundary.  A new
@@ -389,7 +390,7 @@ def replace_triangles_by_labels(l, p):
             bonding[labels[m]] = apex
     nxt = SimplicialComplex._make(simplices)
     cone = SimplicialComplex._make(cone_simplices)
-    return nxt, cone, SimplicialMap._make(nxt, cone, bonding)
+    return nxt, cone, SimplicialMap(nxt, cone, bonding)
 
 
 def one_triangle_by_labels(p):
@@ -451,14 +452,16 @@ def ew_skeleton_by_labels(k_complex, group, n):
     """The Edwards-Walsh modification of the n-skeleton over Z or Z/p,
     built from labels: the reference for the library's ew_skeleton,
     which reads the complex's chain complex instead.  The n-skeleton is
-    collected and sorted anew, and each (n+1)-simplex is attached, for
-    Z/p, along the boundary that its faces' labels give, times p.
-    Returns the chain complex and the inclusion of the skeleton's
-    chains."""
+    collected by its labels and closed and sorted anew by the public
+    constructor, and each (n+1)-simplex is attached, for Z/p, along the
+    boundary that its faces' labels give, times p.  Returns the chain
+    complex and the inclusion of the skeleton's chains."""
     from bockstein.chains import ChainComplex, ChainMap
     from bockstein.groups import Z
+    from bockstein.simplicial import SimplicialComplex
 
-    skel = k_complex.skeleton(n)
+    skel = SimplicialComplex([s for k in range(n + 1)
+                              for s in k_complex.simplices(k)])
     base = skel.chain_complex()
     ident = {k: tuple(((j, 1),) for j in range(base.rank(k)))
              for k in range(base.top + 1)}

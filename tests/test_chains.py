@@ -1181,3 +1181,9 @@ class TestPrimePowerCoefficients:
         got = _convert((beta, tuple(tors)), (0, tuple(below)), Zmod(p, k),
                        dual)
         assert got == GroupReport(0, want, Zmod(p, k))
+
+
+def test_moore_space_refuses_a_bool_dimension():
+    with pytest.raises(ValueError) as err:
+        moore_space(2, True)
+    assert str(err.value) == "Moore space needs n >= 1: True"

@@ -36,11 +36,10 @@ def test_cli_family_repeats_across_hash_seeds():
     assert int(count) == len(differential.cli_runs(3))
 
 
-def test_cylinder_family_repeats_across_hash_seeds():
-    # A small seed: three degree maps and six random maps, half of them
-    # on wide labels, then their `verify mp-pair` runs.
-    code = ("import differential; print(*differential.digest("
-            "differential.cylinder_records(3, (2, 3, 4), 6))[:2])")
+def _digest_under_hash_seeds(call):
+    """The record count and hash of differential.<call>, printed by one
+    interpreter under each string hash seed 0 and 1."""
+    code = f"import differential; print(*differential.digest({call})[:2])"
     outs = []
     for hash_seed in ("0", "1"):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -50,6 +49,23 @@ def test_cylinder_family_repeats_across_hash_seeds():
                               capture_output=True, text=True, timeout=120,
                               check=True)
         outs.append(done.stdout)
+    return outs
+
+
+def test_cylinder_family_repeats_across_hash_seeds():
+    # A small seed: three degree maps and six random maps, half of them
+    # on wide labels, then their `verify mp-pair` runs.
+    outs = _digest_under_hash_seeds(
+        "differential.cylinder_records(3, (2, 3, 4), 6)")
     assert outs[0] == outs[1]
     count, sha = outs[0].split()
     assert (int(count), len(sha)) == (3 + 6 + 3 * 3 * 2, 64)
+
+
+def test_complex_family_repeats_across_hash_seeds():
+    # A small seed: eight complexes and twelve maps, of all four kinds,
+    # half of them on wide labels.
+    outs = _digest_under_hash_seeds("differential.complex_records(3, 8, 12)")
+    assert outs[0] == outs[1]
+    count, sha = outs[0].split()
+    assert (int(count), len(sha)) == (8 + 12, 64)

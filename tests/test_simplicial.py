@@ -70,6 +70,14 @@ class TestBuilders:
         with pytest.raises(ValueError, match="not a simplex of this complex"):
             sphere.indices_of(disk)
 
+    @pytest.mark.parametrize("build, text", [
+        (full_simplex, "need n >= 0: True"),
+        (boundary_simplex, "need n >= 1: True")])
+    def test_a_bool_size_is_refused(self, build, text):
+        with pytest.raises(ValueError) as err:
+            build(True)
+        assert str(err.value) == text
+
     def test_a_missing_simplex_is_named_by_its_label(self):
         x = SimplicialComplex([("a", "b"), ("b", "c")])
         for sub, missing in ((SimplicialComplex([("a", "c")]), "('a', 'c')"),
@@ -86,6 +94,24 @@ class TestMaps:
             SimplicialMap(circle(4), circle(3), {i: i for i in range(4)})
         with pytest.raises(ValueError):
             SimplicialMap(circle(3), circle(3), {0: 0})
+
+    def test_names_the_first_simplex_whose_image_is_missing(self):
+        # The identity onto the hollow triangle misses only the top face.
+        with pytest.raises(ValueError) as err:
+            SimplicialMap(full_simplex(2), boundary_simplex(2),
+                          {v: v for v in range(3)})
+        assert str(err.value) == (
+            "image of (0, 1, 2) is not a simplex of the target")
+        # ('a', 'b') collapses; ('a', 'b', 'c') collapses onto the missing
+        # edge ('u', 'w'), which its face ('a', 'c') reaches first.
+        image = {"a": "u", "b": "u", "c": "w", "d": "w"}
+        for top in ("abc", "abcd"):
+            with pytest.raises(ValueError) as err:
+                SimplicialMap(SimplicialComplex([tuple(top)]),
+                              SimplicialComplex([("u", "v"), ("w",)]),
+                              {v: image[v] for v in top})
+            assert str(err.value) == (
+                "image of ('a', 'c') is not a simplex of the target")
 
     def test_covering_chain_map(self):
         f = degree_map_circle(3)
@@ -364,6 +390,12 @@ class TestPontryaginStages:
             pontryagin_stage(4, 1)
         with pytest.raises(ValueError):
             pontryagin_stage(2, 3)
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_a_stage_count_that_is_not_an_int_is_refused(self, k):
+        with pytest.raises(ValueError) as err:
+            pontryagin_stage(2, k)
+        assert str(err.value) == f"stage count must be 1 or 2: {k!r}"
 
     def test_first_stage_is_sphere(self):
         stages, bondings = pontryagin_stage(2, 1)
@@ -709,10 +741,10 @@ class TestTrustedPath:
         # _make checks nothing, but chain_map only drops simplices that
         # repeat a vertex: an image missing from the target still fails.
         y = boundary_simplex(2)
-        f = SimplicialMap._make(full_simplex(2), y, {0: 0, 1: 1, 2: 2})
+        f = SimplicialMap._make(full_simplex(2), y, [0, 1, 2])
         with pytest.raises(KeyError):
             f.chain_map()
-        g = SimplicialMap._make(full_simplex(2), y, {0: 0, 1: 0, 2: 1})
+        g = SimplicialMap._make(full_simplex(2), y, [0, 0, 1])
         cols = g.chain_map()._cols
         assert cols[1][0] == () and 2 not in cols
 
@@ -811,6 +843,60 @@ class TestChainRecord:
     def test_cylinders_of_degree_maps(self, p):
         assert_cylinder_read_off_columns(mapping_cylinder(
             degree_map_circle(p)))
+
+
+class TestOneRecord:
+    """Every complex is its vertex labels and its chain complex, however
+    it is made: label tuples are made only when a simplex is read, and
+    the vertex labels only once."""
+
+    def test_public_and_factory_complexes_make_no_label_tuple(self):
+        for x in (SimplicialComplex([(2, 0, 1), (3, 4)]), full_simplex(3)):
+            assert len(x.vertices()) == x.chain_complex().ranks[0]
+            assert x.euler() == x.chain_complex().euler() and x.dim > 0
+            repr(x)
+            assert x._degrees is None and x._lookup is None
+            x.simplices(1)
+            assert x._degrees is not None and x._lookup is None
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_vertices_of_a_cylinder_end_make_no_simplex(self, p):
+        cyl = mapping_cylinder(degree_map_circle(p))
+        for end, side in ((cyl.domain, "K"), (cyl.target, "L")):
+            assert {v[0] for v in end.vertices()} == {side}
+            assert len(end.vertices()) == end.f_vector()[0]
+            assert end._degrees is None
+
+    def test_each_complex_builds_its_labels_once(self):
+        built = []
+
+        def counted(x):
+            def build():
+                built.append(x)
+                return x.vertices()
+            return SimplicialComplex._lazy(build, x.chain_complex())
+
+        x, sub = counted(full_simplex(3)), counted(boundary_simplex(2))
+        for _ in range(3):
+            assert x.indices_of(sub)[1] == (0, 1, 3)
+        assert x.has((0, 3)) and sub.simplices(1) == ((0, 1), (0, 2), (1, 2))
+        assert x.vertices() is x.vertices()
+        assert len(built) == 2
+
+    @given(st.one_of(simplex_faces, wide_faces))
+    @settings(max_examples=100, deadline=None)
+    def test_skeleton_matches_the_label_collected_one(self, draw):
+        _, faces, _ = draw
+        x = SimplicialComplex(faces)
+        for n in (-1, 0, x.dim, x.dim + 1):
+            got = x.skeleton(n)
+            want = SimplicialComplex([s for k in range(n + 1)
+                                      for s in x.simplices(k)])
+            assert got.f_vector() == want.f_vector()
+            assert got.vertices() == want.vertices()
+            got_c, want_c = got.chain_complex(), want.chain_complex()
+            assert (got_c.ranks, got_c._cols) == (want_c.ranks, want_c._cols)
+            assert got == want and got._index == want._index
 
 
 class TestEdwardsWalshByLabels:
