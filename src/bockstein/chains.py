@@ -343,16 +343,13 @@ class ChainComplex:
         return f"ChainComplex(ranks={self.ranks!r})"
 
 
-def _renumbering(kept):
-    return {k: {i: n for n, i in enumerate(idx)} for k, idx in kept.items()}
-
-
 def quotient_complex(c: ChainComplex, sub):
     """Quotient of c by a sub chain complex given as index sets.
 
     sub maps degree -> indices spanning the sub in that degree.  Raises
     if the span is not boundary-closed.  Returns (quotient, kept) where
-    kept lists the surviving indices per degree, in order.
+    kept[k] maps each surviving index of degree k to its new index, in
+    order.
     """
     inside = {}
     for k, idx in sub.items():
@@ -360,19 +357,16 @@ def quotient_complex(c: ChainComplex, sub):
         if chosen and (chosen[0] < 0 or chosen[-1] >= c.rank(k)):
             raise ValueError(f"sub index out of range in degree {k}")
         inside[k] = set(chosen)
-    for k in sorted(c._cols):
-        rows_in = inside.get(k - 1, set())
-        cols = c._cols[k]
-        for j in inside.get(k, ()):
-            if any(i not in rows_in for i, _ in cols[j]):
-                raise ValueError(
-                    f"not a subcomplex: boundary leaks in degree {k}")
     kept = {}
     for k in range(c.top + 1):
-        drop = inside.get(k, set())
-        kept[k] = tuple(i for i in range(c.rank(k)) if i not in drop)
-    renumber = _renumbering(kept)
-    columns = {k: _restrict(cols, kept[k], renumber[k - 1])
+        drop = inside.get(k, ())
+        kept[k] = {i: n for n, i in enumerate(
+            [i for i in range(c.rank(k)) if i not in drop])}
+    for k in sorted(c._cols):
+        if any(_restrict(c._cols[k], inside.get(k, ()), kept[k - 1])):
+            raise ValueError(
+                f"not a subcomplex: boundary leaks in degree {k}")
+    columns = {k: _restrict(cols, kept[k], kept[k - 1])
                for k, cols in c._cols.items()}
     ranks = tuple(len(kept[k]) for k in range(c.top + 1))
     return ChainComplex._make(ranks, columns), kept
@@ -439,17 +433,14 @@ class ChainMap:
         """The induced map of quotient complexes (map of pairs)."""
         qs, kept_s = quotient_complex(self.source, sub_source)
         qt, kept_t = quotient_complex(self.target, sub_target)
-        renumber = _renumbering(kept_t)
         columns = {}
         for k in sorted(self._cols):
             cols = self._cols[k]
-            rows = renumber[k]
-            for j in set(sub_source.get(k, ())):
-                if any(i in rows for i, _ in cols[j]):
-                    raise ValueError(
-                        f"map does not send the subcomplex into the "
-                        f"subcomplex in degree {k}")
-            columns[k] = _restrict(cols, kept_s[k], rows)
+            if any(_restrict(cols, sub_source.get(k, ()), kept_t[k])):
+                raise ValueError(
+                    f"map does not send the subcomplex into the "
+                    f"subcomplex in degree {k}")
+            columns[k] = _restrict(cols, kept_s[k], kept_t[k])
         return ChainMap._make(qs, qt, columns)
 
     def __repr__(self):

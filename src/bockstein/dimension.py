@@ -91,7 +91,7 @@ def power_report(f: CdType, k_max: int) -> PowerReport:
     multiplicative value.  The dichotomy is recomputed directly from
     the scaled types and cross-checked against the closed form.
     """
-    if not isinstance(k_max, int) or k_max < 1:
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1: {k_max!r}")
     n = f.norm()
     if not is_finite(n):

@@ -105,7 +105,7 @@ class Zmod(GroupExpr):
 
     def __init__(self, p, k=1):
         self.p = check_prime(p)
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"exponent must be a positive integer: {k!r}")
         self.k = k
 

@@ -26,9 +26,9 @@ as the replacement of a single triangle, then the shared subdivided
 template; a skeleton cuts the chain complex.  A map is one record too:
 the position of each source vertex's image among the target's
 vertices, which a bonding reads off its degree-0 columns.  Simplices as
-label tuples, the label index of has, and vertex maps are views, made
-only when a caller first reads them, so homology, relative homology,
-f-vectors, induced maps and Edwards-Walsh skeleta read no label.
+label tuples and vertex maps are views, made only when a caller first
+reads them, so homology, relative homology, f-vectors, induced maps and
+Edwards-Walsh skeleta read no label.
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ class SimplicialComplex:
     accepts any iterable of simplices (maximal ones suffice) and closes
     it downward.  However it is made, a complex is one record: its
     sorted vertex labels and its chain complex on vertex positions (see
-    _lazy); dim and f_vector read the chain ranks.  The simplices as
-    label tuples, the label index of has, and == and hash are views made
-    on first use.  The empty complex has f_vector () and dim -1; its
-    chain complex, like every chain complex, has a degree 0, of rank 0.
+    _lazy); dim, f_vector, has, == and hash read only that record (see
+    _index and _key); the simplices as label tuples are a view made on
+    first use.  The empty complex has f_vector () and dim -1; its chain
+    complex, like every chain complex, has a degree 0, of rank 0.
 
     >>> s = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
     >>> s.f_vector()
@@ -194,21 +194,14 @@ class SimplicialComplex:
             out.append(faces)
         return out
 
-    def _position_index(self):
-        """Each simplex's position tuple, mapped to its index in its
-        degree (tuples of different degrees differ in length)."""
-        index = {}
-        for ss in self._positions():
-            index.update(zip(ss, count()))
-        return index
-
     @property
     def _index(self):
-        """Each simplex's (degree, position), built on first use: only
-        label lookups (has) need it."""
+        """Each simplex's position tuple, mapped to its index in its
+        degree (tuples of different degrees differ in length), built on
+        first use and kept: has, indices_of and chain_map read it."""
         if self._lookup is None:
-            self._lookup = {s: (k, n) for k, ss in self._by_dim.items()
-                            for n, s in enumerate(ss)}
+            self._lookup = dict(chain.from_iterable(
+                zip(ss, count()) for ss in self._positions()))
         return self._lookup
 
     @property
@@ -229,7 +222,11 @@ class SimplicialComplex:
         return self._labels
 
     def has(self, simplex):
-        return tuple(sorted(simplex)) in self._index
+        """Whether the labels span a simplex; a label that is not a
+        vertex answers False, even one that does not compare."""
+        where = dict(zip(self.vertices(), count()))
+        places = [where.get(v) for v in simplex]
+        return None not in places and tuple(sorted(places)) in self._index
 
     def f_vector(self):
         # The chain ranks count the simplices, but for the empty
@@ -272,7 +269,7 @@ class SimplicialComplex:
         place = list(map(where.get, labels))
         # Sub's vertices are often this complex's first ones, in order.
         identity = place == list(range(len(place)))
-        index = self._position_index()
+        index = self._index
         out = {}
         for k, ss in enumerate(sub._positions()):
             idx = tuple(map(index.get, ss if identity else [
@@ -284,13 +281,19 @@ class SimplicialComplex:
             out[k] = idx
         return out
 
+    def _key(self):
+        """What == and hash compare: builders install canonical columns,
+        so equal records are equal simplex lists."""
+        c = self._chain
+        return self.vertices(), c.ranks, tuple(sorted(c._cols.items()))
+
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._by_dim == other._by_dim
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(tuple(sorted(self._by_dim.items())))
+        return hash(self._key())
 
     def __repr__(self):
         return f"SimplicialComplex(f_vector={self.f_vector()!r})"
@@ -373,7 +376,7 @@ class SimplicialMap:
         image is not a simplex of the target."""
         if self._chain is not None:
             return self._chain
-        index = self.target._position_index()
+        index = self.target._index
         places = self._positions()
         columns = {}
         for k, ss in enumerate(self.source._positions()):
@@ -776,9 +779,8 @@ def pontryagin_stage(p, k):
     simplices with a 'c' or 'a' vertex), then the shared subdivided
     1-skeleton.  It is built with its chain complex, the bonding with
     its chain map, straight from that layout and from one template of
-    the single triangle; simplices, the label index and the vertex map
-    are read off that chain data only when a caller reads them (see
-    _replace_triangles).
+    the single triangle; simplices and the vertex map are read off that
+    chain data only when a caller reads them (see _replace_triangles).
     """
     check_prime(p)
     if not (isinstance(k, int) and not isinstance(k, bool) and k in (1, 2)):

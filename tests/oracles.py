@@ -400,7 +400,7 @@ def one_triangle_by_labels(p):
     suffixes and bonding picks from the layout alone.  See that function
     for the layout; here the stage and the cone are closed under faces
     and sorted by SimplicialComplex(...), and each block column is read
-    off the label index."""
+    off a label index of their simplices, made here."""
     from operator import itemgetter
 
     from bockstein.simplicial import SimplicialComplex
@@ -425,13 +425,14 @@ def one_triangle_by_labels(p):
 
     def blocks(x, head):
         own = set(x.vertices()[:head])
-        index = x._index
+        index = {s: j for k in range(x.dim + 1)
+                 for j, s in enumerate(x.simplices(k))}
         out = []
         for k in range(x.dim + 1):
             size = sum(s[0] in own for s in x.simplices(k))
             below = len(x.simplices(k - 1))
             out.append((size, [itemgetter(*[
-                index[s[:i] + s[i + 1:]][1] + (below if i % 2 else 0)
+                index[s[:i] + s[i + 1:]] + (below if i % 2 else 0)
                 for i in range(len(s) - 1, -1, -1)])
                 for s in x.simplices(k)[:size]] if k else []))
         return out
@@ -469,8 +470,9 @@ def ew_skeleton_by_labels(k_complex, group, n):
         return base, ChainMap._make(base, base, ident)
     tops = k_complex.simplices(n + 1)
     ranks = tuple(base.rank(k) for k in range(n + 1)) + (len(tops),)
-    index = skel._index
-    attach = tuple(tuple([(index[s[:i] + s[i + 1:]][1], (-1) ** i * group.p)
+    index = {s: j for k in range(n + 1)
+             for j, s in enumerate(skel.simplices(k))}
+    attach = tuple(tuple([(index[s[:i] + s[i + 1:]], (-1) ** i * group.p)
                           for i in range(len(s) - 1, -1, -1)])
                    for s in tops)
     ew = ChainComplex._make(ranks, {**base._cols, n + 1: attach})

@@ -525,6 +525,49 @@ class TestQuotient:
         q, _ = quotient_complex(c, {0: [0], 1: [0]})
         assert integral_homology(q) == [(0, ()), (0, ()), (1, ())]
 
+    # The filled triangle on the vertices 0, 1, 2, with the edges
+    # (0, 1), (0, 2), (1, 2) in that order.
+    TRIANGLE = ChainComplex.from_columns(
+        [3, 3, 1], {1: [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}],
+                    2: [{0: 1, 1: -1, 2: 1}]})
+
+    def test_kept_maps_each_survivor_to_its_new_index(self):
+        # Modulo the edge (0, 1): vertex 2 and the other two edges stay.
+        q, kept = quotient_complex(self.TRIANGLE, {0: [1, 0], 1: [0]})
+        assert kept == {0: {2: 0}, 1: {1: 0, 2: 1}, 2: {0: 0}}
+        assert [list(kept[k]) for k in range(3)] == [[2], [1, 2], [0]]
+        assert q.ranks == (1, 2, 1)
+        assert q._cols == {1: (((0, 1),), ((0, 1),)),
+                           2: (((0, -1), (1, 1)),)}
+
+    def test_refuses_a_sub_index_out_of_range(self):
+        for bad in (3, -1):
+            with pytest.raises(ValueError,
+                               match="sub index out of range in degree 1"):
+                quotient_complex(self.TRIANGLE, {0: [0, 1, 2], 1: [bad]})
+
+    def test_refuses_a_leaking_sub(self):
+        # The sub leaks in degrees 1 and 2; the lower degree is named.
+        with pytest.raises(ValueError, match="not a subcomplex: boundary "
+                                             "leaks in degree 1"):
+            quotient_complex(self.TRIANGLE, {1: [0], 2: [0]})
+        with pytest.raises(ValueError, match="not a subcomplex: boundary "
+                                             "leaks in degree 2"):
+            quotient_complex(self.TRIANGLE, {0: [0, 1, 2], 1: [0], 2: [0]})
+
+    def test_refuses_a_map_that_sends_the_sub_outside(self):
+        c = self.TRIANGLE
+        ident = ChainMap.from_columns(
+            c, c, {k: [{j: 1} for j in range(c.rank(k))] for k in range(3)})
+        inside = {0: [0, 1], 1: [0]}
+        assert ident.quotient(inside, inside).target.ranks == (1, 2, 1)
+        # The edge (0, 1) and its vertices leave; the lowest degree is
+        # named.
+        for target_sub, k in (({0: [2]}, 0), ({0: [0, 1, 2]}, 1)):
+            with pytest.raises(ValueError, match="map does not send the "
+                               f"subcomplex into the subcomplex in degree {k}"):
+                ident.quotient(inside, target_sub)
+
 
 # -- universal coefficients tie the field route to the integral route --------
 

@@ -148,6 +148,9 @@ class TestPowers:
             power_report(ZERO_TYPE, 2)
         with pytest.raises(ValueError):
             power_report(nat(INF), 2)
+        with pytest.raises(ValueError,
+                           match="k_max must be an integer >= 1: True"):
+            power_report(nat(2), True)
 
 
 class TestProducts:

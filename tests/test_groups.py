@@ -22,6 +22,9 @@ class TestConstructors:
             Zmod(4)
         with pytest.raises(ValueError):
             Zmod(3, 0)
+        with pytest.raises(ValueError,
+                           match="exponent must be a positive integer: True"):
+            Zmod(2, True)
 
     def test_zloc_accepts_iterables(self):
         assert Zloc([3, 2]) == Zloc(S(2, 3))

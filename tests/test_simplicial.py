@@ -283,7 +283,7 @@ class TestMappingCylinder:
     def test_relative_route_makes_no_labels(self, p):
         # The relative (co)homology of (M_p, dM_p) and the collapse map on
         # the pair, as `verify mp-pair` reads them, come from positions
-        # and chain data alone: no simplex or label index is made.
+        # and chain data alone: no label tuple is made.
         cyl = mapping_cylinder(degree_map_circle(p))
         rep = homology_of(cyl.complex, relative_to=cyl.domain)
         assert pairs(rep, range(3)) == mp_pair_integral(p)
@@ -294,7 +294,7 @@ class TestMappingCylinder:
                        cohomology=True).iso
         assert base is cyl.domain
         for x in (cyl.complex, cyl.domain, cone, base):
-            assert x._degrees is None and x._lookup is None
+            assert x._degrees is None
         assert xi._vertex_map is None
 
     def test_retraction_section(self):
@@ -453,7 +453,7 @@ class TestPontryaginStages:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_the_label_builder(self, p):
         # Stages, cones and bondings emitted in index order equal the
-        # reference built from labels alone: simplex lists, label index,
+        # reference built from labels alone: simplex lists, simplex index,
         # chain columns, vertex map and bonding columns.  Their labels
         # are made only here, when first read.
         for k in (1, 2):
@@ -472,7 +472,7 @@ class TestPontryaginStages:
                 assert got._degrees is None     # no label made yet
                 assert got.f_vector() == want.f_vector()
                 assert got._by_dim == want._by_dim
-                assert got._lookup is None      # no label looked up yet
+                assert got._lookup is None      # no simplex looked up yet
                 got_c, want_c = got.chain_complex(), want.chain_complex()
                 assert (got_c.ranks, got_c._cols) == (want_c.ranks,
                                                       want_c._cols)
@@ -488,7 +488,7 @@ class TestPontryaginStages:
     def test_field_route_makes_no_labels(self, p):
         # What homology over a field and the bonding checks read (chain
         # complexes, f-vectors, cohomology, induced maps) comes from the
-        # chain data alone: no simplex, label index or vertex map is made.
+        # chain data alone: no simplex, simplex index or vertex map is made.
         stages, bondings = pontryagin_stage(p, 2)
         lazy = stages[1:] + [q.target for q in bondings]
         for x in stages + lazy:
@@ -882,6 +882,34 @@ class TestOneRecord:
         assert x.has((0, 3)) and sub.simplices(1) == ((0, 1), (0, 2), (1, 2))
         assert x.vertices() is x.vertices()
         assert len(built) == 2
+
+    def test_has_answers_false_for_a_label_that_is_not_a_vertex(self):
+        x = full_simplex(2)
+        assert not x.has([0, "x"]) and not x.has([5])
+        assert x.has([2, 0]) and not x.has([0, 0])
+        assert x._degrees is None
+
+    def test_one_simplex_index_per_complex(self):
+        cyl = mapping_cylinder(degree_map_circle(2))
+        x = cyl.complex
+        want = x.indices_of(cyl.domain)
+        index = x._lookup
+        assert len(index) == sum(x.f_vector())
+        for _ in range(2):
+            assert x.indices_of(cyl.domain) == want
+            assert x._lookup is index
+        # A map into x looks its images up in the same index.
+        cm = cyl.domain_inclusion.chain_map()
+        assert cm._cols == {k: tuple([((n, 1),) for n in idx])
+                            for k, idx in want.items()}
+        assert x._lookup is index
+        assert x._degrees is None and cyl.domain._degrees is None
+
+    def test_equality_and_hash_make_no_label_tuple(self):
+        a, b = full_simplex(3), SimplicialComplex([(3, 2, 1, 0)])
+        assert a == b and hash(a) == hash(b)
+        assert a != boundary_simplex(3) and a != full_simplex(2)
+        assert a._degrees is None and b._degrees is None
 
     @given(st.one_of(simplex_faces, wide_faces))
     @settings(max_examples=100, deadline=None)
