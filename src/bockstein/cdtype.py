@@ -12,6 +12,8 @@ Operations: [+] (product of compacta), [x] (a formal multiplication),
 wedge (pointwise max of phi), norm (the integral dimension), inferior
 norm, conjugation, the partial order, the Kuzminov basis Phi(G, n), and
 the wedge decomposition of an arbitrary positive type over that basis.
+
+BocksteinFn, CdType and Basis are equal by their slots (primes._Value).
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .primes import (
     INF,
     PrimeFn,
     PrimeSet,
+    _Value,
+    _json_object,
     check_prime,
     indicator,
     is_finite,
@@ -58,7 +62,7 @@ def _with_zero(fn: PrimeFn, value) -> PrimeFn:
     return PrimeFn._make(value, fn.default, fn.exceptions)
 
 
-class BocksteinFn:
+class BocksteinFn(_Value):
     """Values of a dimension type on the Bockstein basis.
 
     phi_q is the value at Q; zp, zpinf, zloc are PrimeFns whose 0 slots
@@ -73,19 +77,6 @@ class BocksteinFn:
         self.zp = _with_zero(zp, phi_q)
         self.zpinf = _with_zero(zpinf, phi_q)
         self.zloc = _with_zero(zloc, phi_q)
-
-    def __eq__(self, other):
-        if not isinstance(other, BocksteinFn):
-            return NotImplemented
-        return (self.phi_q, self.zp, self.zpinf, self.zloc) == (
-            other.phi_q, other.zp, other.zpinf, other.zloc)
-
-    def __hash__(self):
-        return hash((self.phi_q, self.zp, self.zpinf, self.zloc))
-
-    def __repr__(self):
-        return (f"BocksteinFn(phi_q={self.phi_q!r}, zp={self.zp!r}, "
-                f"zpinf={self.zpinf!r}, zloc={self.zloc!r})")
 
     def at(self, p):
         """The triple (phi(Zloc), phi(Zp), phi(Zpinf)) at a prime."""
@@ -140,7 +131,7 @@ def validate(phi: BocksteinFn):
     return violations
 
 
-class CdType:
+class CdType(_Value):
     """A dimension type: a triple (S, D; d); the zero type is (∅, ∅; 0).
 
     Use the factories: CdType.triple(...), nat(n), phi_basis(...),
@@ -183,14 +174,6 @@ class CdType:
     def zero(self):
         """Whether this is the zero type (∅, ∅; 0)."""
         return self is ZERO_TYPE
-
-    def __eq__(self, other):
-        if not isinstance(other, CdType):
-            return NotImplemented
-        return (self.S, self.D, self.d) == (other.S, other.D, other.d)
-
-    def __hash__(self):
-        return hash((self.S, self.D, self.d))
 
     def __repr__(self):
         return f"CdType.triple({self.S!r}, {self.D!r}, {self.d!r})"
@@ -310,10 +293,11 @@ class CdType:
 
     @classmethod
     def from_json(cls, obj):
-        if obj.get("kind") != "cdtype":
+        if _json_object(obj, "cd-type").get("kind") != "cdtype":
             raise ValueError("not a cd-type object")
         if obj.get("zero"):
             return ZERO_TYPE
+        _json_object(obj, "cd-type", "S", "D", "d")
         return cls.triple(
             PrimeSet.from_json(obj["S"]),
             PrimeSet.from_json(obj["D"]),
@@ -350,7 +334,7 @@ def nat(n) -> CdType:
     return CdType.triple(EMPTY, EMPTY, PrimeFn.constant(n))
 
 
-class Basis:
+class Basis(_Value):
     """A Bockstein basis element: Q, Zp(p), ZpInf(p) or Zloc(p)."""
 
     __slots__ = ("kind", "p")
@@ -382,14 +366,6 @@ class Basis:
     @classmethod
     def zloc(cls, p):
         return cls("Zloc", p)
-
-    def __eq__(self, other):
-        if not isinstance(other, Basis):
-            return NotImplemented
-        return (self.kind, self.p) == (other.kind, other.p)
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
 
     def __repr__(self):
         return f"Basis({self.kind!r})" if self.p is None \
@@ -446,7 +422,7 @@ class UniformFamily:
             raise ValueError(f"not a prime-indexed basis kind: {kind!r}")
         self.kind = kind
         self.n = _level(n, "family needs n >= 1")
-        self.over = over
+        self.over = over if isinstance(over, PrimeSet) else PrimeSet(over)
 
     def __repr__(self):
         return f"UniformFamily({self.kind!r}, {self.n!r}, {self.over!r})"

@@ -11,11 +11,14 @@ classical membership rules:
     Z/p      in sigma(G)  iff  p-Tor G is not divisible by p,
     Z(p^inf) in sigma(G)  iff  p-Tor G != 0 is divisible by p,
     Q        in sigma(G)  iff  G/Tor G != 0 is divisible by every p.
+
+Every class here is equal by class and slots (primes._Value): Q != Z.
 """
 
 from __future__ import annotations
 
-from .primes import ALL_PRIMES, EMPTY, PrimeFn, PrimeSet, check_prime, select
+from .primes import (ALL_PRIMES, EMPTY, PrimeFn, PrimeSet, _Value,
+                     check_prime, select)
 
 __all__ = [
     "BocksteinFamily",
@@ -54,7 +57,7 @@ def _tor_add(a, b):
     return TOR_DIV
 
 
-class GroupExpr:
+class GroupExpr(_Value):
     """Base class for group expression nodes.  Immutable, comparable."""
 
     __slots__ = ()
@@ -63,15 +66,6 @@ class GroupExpr:
         if not isinstance(other, GroupExpr):
             return NotImplemented
         return DirectSum([self, other])
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self):
-        return ()
 
 
 class _Q(GroupExpr):
@@ -109,9 +103,6 @@ class Zmod(GroupExpr):
             raise ValueError(f"exponent must be a positive integer: {k!r}")
         self.k = k
 
-    def _key(self):
-        return (self.p, self.k)
-
     def __repr__(self):
         return f"Zmod({self.p})" if self.k == 1 else f"Zmod({self.p}, {self.k})"
 
@@ -126,9 +117,6 @@ class ZpInf(GroupExpr):
 
     def __init__(self, p):
         self.p = check_prime(p)
-
-    def _key(self):
-        return (self.p,)
 
     def __repr__(self):
         return f"ZpInf({self.p})"
@@ -146,12 +134,7 @@ class Zloc(GroupExpr):
     __slots__ = ("at",)
 
     def __init__(self, at):
-        if not isinstance(at, PrimeSet):
-            at = PrimeSet(at)
-        self.at = at
-
-    def _key(self):
-        return (self.at,)
+        self.at = at if isinstance(at, PrimeSet) else PrimeSet(at)
 
     def __repr__(self):
         return f"Zloc({self.at!r})"
@@ -181,9 +164,6 @@ class DirectSum(GroupExpr):
         if not self.parts:
             raise ValueError("DirectSum needs at least one summand")
 
-    def _key(self):
-        return self.parts
-
     def __repr__(self):
         return "DirectSum(%s)" % ", ".join(repr(g) for g in self.parts)
 
@@ -200,15 +180,10 @@ class SumOverPrimes(GroupExpr):
     __slots__ = ("over", "pattern")
 
     def __init__(self, over, pattern="Zp"):
-        if not isinstance(over, PrimeSet):
-            over = PrimeSet(over)
+        self.over = over if isinstance(over, PrimeSet) else PrimeSet(over)
         if pattern not in ("Zp", "ZpInf"):
             raise ValueError(f"unknown pattern: {pattern!r}")
-        self.over = over
         self.pattern = pattern
-
-    def _key(self):
-        return (self.over, self.pattern)
 
     def __repr__(self):
         return f"SumOverPrimes({self.over!r}, {self.pattern!r})"
@@ -220,7 +195,7 @@ class SumOverPrimes(GroupExpr):
         return f"SumOver({self.over.render()}, {base})"
 
 
-class GroupProfile:
+class GroupProfile(_Value):
     """Divisibility and torsion data of a group expression.
 
     tf_div is None when the group is pure torsion; otherwise it is the
@@ -235,17 +210,6 @@ class GroupProfile:
             raise TypeError("tf_div must be a PrimeSet or None")
         self.tf_div = tf_div
         self.tor = tor
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupProfile):
-            return NotImplemented
-        return self.tf_div == other.tf_div and self.tor == other.tor
-
-    def __hash__(self):
-        return hash((self.tf_div, self.tor))
-
-    def __repr__(self):
-        return f"GroupProfile(tf_div={self.tf_div!r}, tor={self.tor!r})"
 
     @property
     def is_trivial(self):
@@ -296,7 +260,7 @@ def normalize(expr: GroupExpr) -> GroupProfile:
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-class BocksteinFamily:
+class BocksteinFamily(_Value):
     """The subset sigma(G) of the Bockstein basis, finitely described.
 
     has_q flags Q; loc, zp, zpinf are the prime sets contributing
@@ -313,19 +277,6 @@ class BocksteinFamily:
         self.loc = loc
         self.zp = zp
         self.zpinf = zpinf
-
-    def __eq__(self, other):
-        if not isinstance(other, BocksteinFamily):
-            return NotImplemented
-        return (self.has_q, self.loc, self.zp, self.zpinf) == (
-            other.has_q, other.loc, other.zp, other.zpinf)
-
-    def __hash__(self):
-        return hash((self.has_q, self.loc, self.zp, self.zpinf))
-
-    def __repr__(self):
-        return (f"BocksteinFamily(has_q={self.has_q}, loc={self.loc!r}, "
-                f"zp={self.zp!r}, zpinf={self.zpinf!r})")
 
     def render(self):
         """Readable listing, e.g. 'Zloc(p) for all p != 3'."""

@@ -23,6 +23,9 @@ Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
 Wagstaff, "Lucas pseudoprimes", Math. Comp. 35 (1980)): Miller-Rabin
 to base 2 plus a strong Lucas test with Selfridge's parameters.  No
 composite passing BPSW is known.
+
+One equality rule serves the symbolic half: PrimeSet, PrimeFn and the
+values of cdtype and groups derive from _Value, equal by their slots.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import total_ordering
 from math import isqrt
+from operator import attrgetter
 
 __all__ = [
     "ALL_PRIMES",
@@ -50,6 +54,32 @@ __all__ = [
 
 class UndefinedArithmetic(ArithmeticError):
     """An extended-arithmetic expression with no assigned value."""
+
+
+class _Value:
+    """Equal when of one class with equal __slots__, in order; another
+    class gives NotImplemented.  Hashed as the tuple of slot values; the
+    repr names each slot as a keyword."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        # One C call reads every slot; attrgetter gives no tuple for one.
+        cls._fields = (attrgetter(*names) if len(names) > 1 else staticmethod(
+            lambda obj: tuple(getattr(obj, n) for n in names)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self))))
 
 
 @total_ordering
@@ -131,6 +161,16 @@ def value_to_json(value):
     if value is NEG_INF:
         return "-inf"
     return value
+
+
+def _json_object(obj, what, *keys):
+    """obj when it is a JSON object holding keys, else ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a {what} object: {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} object has no {key!r}")
+    return obj
 
 
 def value_from_json(obj):
@@ -251,7 +291,7 @@ def check_prime(p):
     return p
 
 
-class PrimeSet:
+class PrimeSet(_Value):
     """A finite or cofinite set of primes, closed under Boolean algebra.
 
     Finite sets store their members; cofinite sets store the missing
@@ -293,14 +333,6 @@ class PrimeSet:
     def __contains__(self, p):
         # Membership is only meaningful for prime p; not re-validated here.
         return (p in self.primes) != self.cofinite
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeSet):
-            return NotImplemented
-        return self.cofinite == other.cofinite and self.primes == other.primes
-
-    def __hash__(self):
-        return hash((self.cofinite, self.primes))
 
     def __repr__(self):
         inner = ", ".join(str(p) for p in self.primes)
@@ -355,7 +387,7 @@ class PrimeSet:
 
     @classmethod
     def from_json(cls, obj):
-        mode = obj.get("mode")
+        mode = _json_object(obj, "PrimeSet").get("mode")
         if mode not in ("finite", "cofinite"):
             raise ValueError(f"bad PrimeSet mode: {mode!r}")
         return cls(obj.get("primes", ()), cofinite=(mode == "cofinite"))
@@ -365,7 +397,7 @@ EMPTY = PrimeSet()
 ALL_PRIMES = PrimeSet(cofinite=True)
 
 
-class PrimeFn:
+class PrimeFn(_Value):
     """A function on the primes plus a slot at 0, constant off a finite set.
 
     Stored as (at_zero, default, exceptions) where exceptions is a sorted
@@ -424,18 +456,6 @@ class PrimeFn:
         if x == 0:
             return self.at_zero
         return self._value(check_prime(x))
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeFn):
-            return NotImplemented
-        return (
-            self.at_zero == other.at_zero
-            and self.default == other.default
-            and self.exceptions == other.exceptions
-        )
-
-    def __hash__(self):
-        return hash((self.at_zero, self.default, self.exceptions))
 
     def __repr__(self):
         parts = [f"at_zero={self.at_zero!r}", f"default={self.default!r}"]
@@ -571,6 +591,7 @@ class PrimeFn:
 
     @classmethod
     def from_json(cls, obj):
+        _json_object(obj, "PrimeFn", "at_zero", "default")
         exc = [(int(k), value_from_json(v))
                for k, v in obj.get("exceptions", {}).items()]
         return cls(

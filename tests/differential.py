@@ -1,5 +1,5 @@
-"""Record hashes of the law checker, the command line and the finite
-complexes.
+"""Record hashes of the law checker, the command line, the finite
+complexes and the dimension-type values.
 
     PYTHONPATH=<tree>/src python tests/differential.py --seed 1 [--dump DIR]
 
@@ -9,7 +9,9 @@ hashes mean equal outputs on every input of the family.  `--dump DIR`
 also writes each family's records to DIR/<family>.jsonl, one JSON line
 per record, so that two dumps can be compared with diff.  `--family`
 picks families: the laws family takes ~30 s and the cli family ~1 s on
-a 2-CPU x86_64 machine with Python 3.11.
+a 2-CPU x86_64 machine with Python 3.11.  No record holds a raw hash:
+group expressions hash by their class's slots, and values holding inf
+hash differently under each PYTHONHASHSEED.
 
 Families:
 
@@ -43,6 +45,18 @@ Families:
         accepts the `map_to_text`, the chain map columns and the induced
         maps in homology and cohomology over Z, Q and Z/2.  It takes
         ~0.5 s.
+  types
+        seeded triples (S, D; d) with levels 1..3, with extended levels
+        -2..2 and with infinite levels: `render`, `repr`, the JSON round
+        trip, `to_phi`, both norms, `sum`, `times`, `wedge`, `scale`,
+        `conjugate` and `leq` with the triple drawn before, `dim` over
+        nine groups and `decompose`; seeded Bockstein functions, valid
+        or not, through `validate` and `from_phi`; seeded group
+        expressions through `normalize` and `sigma`; the basis elements
+        and their Kuzminov types.  Each value is compared by `==` with
+        a twin built apart, with the value drawn before and with a
+        value of another class, and each equal pair records whether
+        the hashes agree.  It takes ~0.5 s.
 """
 
 import argparse
@@ -56,7 +70,28 @@ import random
 import sys
 
 from bockstein import cli, simplicial
-from bockstein.groups import Q, Z, Zmod, ZpInf
+from bockstein.cdtype import (
+    Basis,
+    BocksteinFn,
+    CdType,
+    decompose,
+    nat,
+    phi_basis,
+    validate,
+)
+from bockstein.dimension import dim
+from bockstein.groups import (
+    DirectSum,
+    Q,
+    SumOverPrimes,
+    Z,
+    Zinv,
+    Zloc,
+    Zmod,
+    ZpInf,
+    normalize,
+    sigma,
+)
 from bockstein.oracle import (
     LAW_NAMES,
     Universe,
@@ -64,6 +99,7 @@ from bockstein.oracle import (
     render_reports,
     select_laws,
 )
+from bockstein.primes import ALL_PRIMES, INF, PrimeFn, PrimeSet
 
 REFERENCE_UNIVERSES = (Universe((2, 3), 2), Universe((2,), 3),
                        Universe((3, 5), 2, True))
@@ -82,7 +118,7 @@ def _sha(text):
 def _outcome(call):
     try:
         return call()
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -407,10 +443,144 @@ def complex_records(seed, complexes=80, maps=120):
     return out
 
 
+# -- types --------------------------------------------------------------------
+
+# The d levels of the three kinds of seeded triples.
+_LEVELS = {"standard": (1, 2, 3), "extended": (-2, -1, 0, 1, 2),
+           "infinite": (1, 2, INF)}
+# Nine coefficient groups: every kind of member sigma can list.
+_GROUPS = (Z, Q, Zmod(2), Zmod(3, 2), ZpInf(2), Zloc([3]), Zinv(5),
+           SumOverPrimes(ALL_PRIMES), Z + ZpInf(3))
+
+
+def _equality(a, b):
+    """a == b, b == a and a != b; for an equal pair, whether the hashes
+    agree.  The hash itself is never recorded."""
+    same = [a == b, b == a, a != b]
+    return same + [hash(a) == hash(b)] if a == b else same
+
+
+def _prime_set(rng):
+    return PrimeSet(rng.sample(_PRIMES, rng.randint(0, 2)),
+                    cofinite=rng.random() < 0.3)
+
+
+def _triple(rng, levels):
+    """A seeded valid triple: d is d(0) off S and any level on S."""
+    s = _prime_set(rng)
+    d0 = rng.choice(levels)
+    on_s = {p: rng.choice(levels) for p in rng.sample(_PRIMES, 2) if p in s}
+    off_s = dict.fromkeys(s.primes, d0) if s.cofinite else {}
+    default = rng.choice(levels) if s.cofinite else d0
+    return CdType.triple(s, s & _prime_set(rng),
+                         PrimeFn(d0, default, {**on_s, **off_s}))
+
+
+def _decomposition(t):
+    dec = decompose(t)
+    return [repr(dec), [[kind, repr(over), repr(n)]
+                        for kind, over, n in dec.entries()],
+            dec.rewedge() == t]
+
+
+def _type_record(name, t, u):
+    """t alone, and t with u, the triple drawn before it."""
+    back = CdType.from_json(json.loads(json.dumps(t.to_json())))
+    ops = {"sum": lambda: t.sum(u), "times": lambda: t.times(u),
+           "wedge": lambda: t.wedge(u), "scale": lambda: t.scale(3),
+           "conjugate": t.conjugate, "leq": lambda: [t.leq(u), u.leq(t)]}
+    return ["type", name, t.render(), repr(t), t.to_json(), repr(back),
+            repr(t.to_phi()), repr(t.norm()), repr(t.inferior_norm()),
+            [[op, _outcome(lambda: repr(call()))] for op, call in ops.items()],
+            [_outcome(lambda: repr(dim(t, g))) for g in _GROUPS],
+            _outcome(lambda: _decomposition(t)),
+            _equality(t, back), _equality(t, u),
+            _equality(t.to_phi(), back.to_phi()), _equality(t, t.to_phi()),
+            _equality(t.d, back.d), _equality(t.S, t.D)]
+
+
+def _bockstein_fn(rng):
+    """Seeded values on the basis: half of them a seeded triple's, half
+    drawn freely, valid or not, exceptional at up to two primes per
+    coordinate."""
+    if rng.random() < 0.5:
+        return _triple(rng, rng.choice(tuple(_LEVELS.values()))).to_phi()
+    q = rng.choice((0, 1, 2, INF))
+    return BocksteinFn(q, *(PrimeFn(q, rng.choice((q, q, q + 1)), {
+        p: rng.choice((0, 1, 2, 3, INF))
+        for p in rng.sample(_PRIMES, rng.randint(0, 2))}) for _ in range(3)))
+
+
+def _phi_record(name, phi, prev):
+    twin = BocksteinFn(phi.phi_q, *(PrimeFn.from_json(f.to_json())
+                                    for f in (phi.zp, phi.zpinf, phi.zloc)))
+    return ["phi", name, repr(phi), [list(v) for v in validate(phi)],
+            _outcome(lambda: repr(CdType.from_phi(phi))),
+            _outcome(lambda: CdType.from_phi(phi).to_phi() == phi),
+            repr(phi.sup()), repr(phi.inf()), repr(phi.at(2)),
+            repr(phi.max_with(prev)), phi.leq(prev),
+            _equality(phi, twin), _equality(phi, prev)]
+
+
+def _group_expr(rng, depth=0):
+    p = rng.choice(_PRIMES)
+    pick = rng.randrange(8 if depth else 9)
+    if pick == 8:
+        return DirectSum([_group_expr(rng, 1)
+                          for _ in range(rng.randint(2, 3))])
+    return (Q, Z, Zmod(p), Zmod(p, rng.randint(2, 3)), ZpInf(p),
+            Zloc(_prime_set(rng)), Zinv(p),
+            SumOverPrimes(_prime_set(rng), rng.choice(("Zp", "ZpInf"))))[pick]
+
+
+def _group_record(name, g, twin, prev):
+    return ["group", name, repr(g), g.render(), repr(normalize(g)),
+            _outcome(lambda: [repr(sigma(g)), sigma(g).render()]),
+            _equality(g, twin), _equality(g, prev),
+            _equality(normalize(g), normalize(twin)),
+            _outcome(lambda: _equality(sigma(g), sigma(twin))),
+            _equality(g, normalize(g))]
+
+
+def type_records(seed, triples=60, fns=80, groups=80):
+    rng = random.Random(seed)
+    out = []
+    prev = nat(1)
+    for kind, levels in _LEVELS.items():
+        for i in range(triples):
+            t = _triple(rng, levels)
+            out.append(_type_record(f"{kind} {i}", t, prev))
+            prev = t
+    prev = nat(2).to_phi()
+    for i in range(fns):
+        phi = _bockstein_fn(rng)
+        out.append(_phi_record(f"phi {i}", phi, prev))
+        prev = phi
+    prev = Z
+    for i in range(groups):
+        sub = rng.randrange(2 ** 32)
+        g = _group_expr(random.Random(sub))
+        out.append(_group_record(f"group {i}", g,
+                                 _group_expr(random.Random(sub)), prev))
+        prev = g
+    bases = [Basis.q()] + [Basis(kind, p) for kind in Basis.KINDS[1:]
+                           for p in _PRIMES]
+    for b, prev in zip(bases, bases[-1:] + bases):
+        out.append(["basis", repr(b), b.render(),
+                    [repr(phi_basis(b, n)) for n in (1, 2, 3, INF)],
+                    _equality(b, Basis(b.kind, b.p)), _equality(b, prev)])
+    out.append(["classes", _equality(Q, Z), _equality(Q, "Q"),
+                _equality(Zmod(2), ZpInf(2)),
+                _equality(nat(1), nat(1).to_phi()),
+                _equality(Basis.q(), Q), _equality(PrimeSet(), PrimeFn(0, 0))])
+    return out
+
+
 # -- driver -------------------------------------------------------------------
 
 FAMILIES = {"laws": law_records, "cli": cli_records,
-            "cylinders": cylinder_records, "complexes": complex_records}
+            "cylinders": cylinder_records, "complexes": complex_records,
+            "types": type_records}
 
 
 def digest(records):

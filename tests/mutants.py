@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 SIMPLICIAL = "src/bockstein/simplicial.py"
 CHAINS = "src/bockstein/chains.py"
+PRIMES = "src/bockstein/primes.py"
 CLEARING = "tests/test_chains.py::TestClearing"
 
 MUTANTS = (
@@ -123,6 +124,21 @@ MUTANTS = (
            "return None in places or",
            ("tests/test_simplicial.py::TestOneRecord::"
             "test_has_answers_false_for_a_label_that_is_not_a_vertex",)),
+    # _Value.__eq__ compares the slots of objects of any two classes, so
+    # Q == Z: both hold no slot.
+    Mutant("no-class-check", PRIMES,
+           "if type(other) is not type(self):",
+           "if False:",
+           ("tests/test_values.py::TestClasses::"
+            "test_different_classes_never_compare_equal",)),
+    # _Value.__eq__ ignores the last slot: PrimeSets compare by mode
+    # alone, PrimeFns without their exceptions.
+    Mutant("last-slot-ignored", PRIMES,
+           "return self._fields(self) == other._fields(other)",
+           "return self._fields(self)[:-1] == other._fields(other)[:-1]",
+           ("tests/test_groups.py::TestSigma::test_frozen_families",
+            "tests/test_cdtype.py::TestCanonicalForm::"
+            "test_results_are_canonical_triples")),
 )
 
 

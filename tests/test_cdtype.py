@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -249,6 +250,20 @@ class TestSerialization:
         assert PI[2].render() == "triple(S={2}, D={2}, d={zero: 1, default: 1, 2: 2})"
         assert nat(INF).render() == "triple(S={}, D={}, d={zero: inf, default: inf})"
 
+    def test_malformed_json_is_refused(self):
+        whole = PI[2].to_json()
+        cases = [({"kind": "cdtype"}, "cd-type object has no 'S'"),
+                 ({k: v for k, v in whole.items() if k != "D"},
+                  "cd-type object has no 'D'"),
+                 ([1], "not a cd-type object: [1]"),
+                 ({"kind": "type"}, "not a cd-type object"),
+                 ({**whole, "S": 5}, "not a PrimeSet object: 5"),
+                 ({**whole, "d": {"default": 1}},
+                  "PrimeFn object has no 'at_zero'")]
+        for obj, text in cases:
+            with pytest.raises(ValueError, match=re.escape(text)):
+                CdType.from_json(obj)
+
 
 class TestDecompose:
     def test_surface_entries(self):
@@ -291,6 +306,14 @@ class TestWedgeFamily:
     def test_singleton_family_is_member(self):
         f = wedge_family(families=[UniformFamily("ZpInf", 4, S(3))])
         assert f == phi_basis(Basis.zpinf(3), 4)
+
+    def test_family_over_any_iterable_of_primes(self):
+        fam = UniformFamily("Zp", 2, [3, 2])
+        assert fam.over == S(2, 3)
+        assert wedge_family(families=[fam]) == wedge_family(
+            families=[UniformFamily("Zp", 2, S(2, 3))])
+        with pytest.raises(ValueError, match="not a prime: 4"):
+            UniformFamily("Zp", 2, [2, 4])
 
 
 BASES = [Basis.q()] + [Basis(kind, p) for kind in ("Zp", "ZpInf", "Zloc")

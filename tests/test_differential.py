@@ -69,3 +69,12 @@ def test_complex_family_repeats_across_hash_seeds():
     assert outs[0] == outs[1]
     count, sha = outs[0].split()
     assert (int(count), len(sha)) == (8 + 12, 64)
+
+
+def test_type_family_repeats_across_hash_seeds():
+    # A small seed: four triples of each kind, six Bockstein functions
+    # and six group expressions, then the bases and the class pairs.
+    outs = _digest_under_hash_seeds("differential.type_records(3, 4, 6, 6)")
+    assert outs[0] == outs[1]
+    count, sha = outs[0].split()
+    assert (int(count), len(sha)) == (3 * 4 + 6 + 6 + 13 + 1, 64)

@@ -1,4 +1,5 @@
 import operator
+import re
 
 import pytest
 import sympy
@@ -210,6 +211,12 @@ class TestPrimeSet:
     def test_json_round_trip(self, s):
         assert PrimeSet.from_json(s.to_json()) == s
 
+    def test_malformed_json_is_refused(self):
+        for obj, text in (("finite", "not a PrimeSet object: 'finite'"),
+                          ({"primes": [2]}, "bad PrimeSet mode: None")):
+            with pytest.raises(ValueError, match=re.escape(text)):
+                PrimeSet.from_json(obj)
+
     def test_render(self):
         assert PrimeSet.of(3, 2).render() == "{2,3}"
         assert ALL_PRIMES.render() == "all"
@@ -289,6 +296,13 @@ class TestPrimeFn:
     @given(prime_fns)
     def test_json_round_trip(self, f):
         assert PrimeFn.from_json(f.to_json()) == f
+
+    def test_malformed_json_is_refused(self):
+        for obj, text in (({"default": 1}, "PrimeFn object has no 'at_zero'"),
+                          ({"at_zero": 1}, "PrimeFn object has no 'default'"),
+                          ([1, 2], "not a PrimeFn object: [1, 2]")):
+            with pytest.raises(ValueError, match=re.escape(text)):
+                PrimeFn.from_json(obj)
 
     def test_infinite_values(self):
         f = PrimeFn(INF, 0, {2: INF})
