@@ -67,7 +67,7 @@ class _Value:
         names = cls.__slots__
         # One C call reads every slot; attrgetter gives no tuple for one.
         cls._fields = (attrgetter(*names) if len(names) > 1 else staticmethod(
-            lambda obj: tuple(getattr(obj, n) for n in names)))
+            lambda obj: tuple(map(obj.__getattribute__, names))))
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -56,7 +56,7 @@ Families:
         and their Kuzminov types.  Each value is compared by `==` with
         a twin built apart, with the value drawn before and with a
         value of another class, and each equal pair records whether
-        the hashes agree.  It takes ~0.5 s.
+        the hashes agree.  It takes ~0.3 s.
 """
 
 import argparse
